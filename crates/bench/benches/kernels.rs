@@ -2,8 +2,9 @@
 //! spatial hash (Eq. 1), hash-table lookup, bitmap masking, trilinear
 //! weights and the scalar/lane cell blend, FP16 conversion, the
 //! compositing accumulator, MLP forward in scalar/lane/fp16-storage form,
-//! block-circulant buffer I/O, systolic GEMM, online decode, and DRAM
-//! trace replay.
+//! block-circulant buffer I/O, systolic GEMM, online decode (per vertex
+//! and per cell, with and without the bitmap prefilter), and DRAM trace
+//! replay.
 //!
 //! For an exportable record of the hot-path kernels use the
 //! `bench_snapshot` binary (`BENCH_*.json`); these criterion groups are the
@@ -19,9 +20,9 @@ use spnerf_core::{MaskMode, SpNerfConfig, SpNerfModel};
 use spnerf_dram::controller::MemoryController;
 use spnerf_dram::timing::DramTimings;
 use spnerf_dram::trace::{gather, sequential};
-use spnerf_render::composite::{accumulate_weighted_lanes, accumulate_weighted_scalar};
+use spnerf_render::composite::accumulate_weighted;
 use spnerf_render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
-use spnerf_render::interp::{interpolate_cell_lanes, interpolate_cell_scalar, trilinear_cell};
+use spnerf_render::interp::{interpolate_cell, interpolate_cell_scalar, trilinear_cell};
 use spnerf_render::mlp::{Mlp, MlpF16, MlpScratch, MLP_INPUT_DIM};
 use spnerf_render::scene::{build_grid, SceneId};
 use spnerf_render::source::VoxelSource;
@@ -109,8 +110,9 @@ fn bench_trilinear(c: &mut Criterion) {
             acc
         })
     });
-    // Scalar vs lane cell blend on a real grid — the pair `bench_snapshot`
-    // records as `trilinear.scalar` / `trilinear.lanes`.
+    // Scalar oracle vs the lane cell blend the renderer runs, on a real
+    // grid — the pair `bench_snapshot` records as `trilinear.scalar` /
+    // `trilinear.lanes`.
     let grid = build_grid(SceneId::Lego, 64);
     let gdims = VoxelSource::dims(&grid);
     let cells: Vec<_> = (0..1024usize)
@@ -136,7 +138,7 @@ fn bench_trilinear(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0f32;
             for cell in &cells {
-                acc += interpolate_cell_lanes(&grid, black_box(cell)).density;
+                acc += interpolate_cell(&grid, black_box(cell)).density;
             }
             acc
         })
@@ -178,28 +180,18 @@ fn bench_fp16(c: &mut Criterion) {
 }
 
 fn bench_composite(c: &mut Criterion) {
-    // The compositing inner loop (`acc[c] += values[c] * w`) in its scalar
-    // reference and lane-blocked forms — the pair `bench_snapshot` records
-    // as `composite.scalar` / `composite.lanes`. Nine channels: the baked
-    // path's specular feature accumulation width.
+    // The compositing inner loop (`acc[c] += values[c] * w`) — the kernel
+    // `bench_snapshot` records as `composite.scalar`. Nine channels: the
+    // baked path's specular feature accumulation width.
     let weights: Vec<f32> = (0..512).map(|i| (i as f32 * 0.11).sin().abs()).collect();
     let values: [f32; 9] = std::array::from_fn(|c| (c as f32 * 0.31).sin());
     let mut g = c.benchmark_group("composite");
     g.throughput(Throughput::Elements(512));
-    g.bench_function("accumulate_scalar", |b| {
+    g.bench_function("accumulate", |b| {
         b.iter(|| {
             let mut acc = [0.0f32; 9];
             for w in &weights {
-                accumulate_weighted_scalar(&mut acc, black_box(&values), *w);
-            }
-            acc
-        })
-    });
-    g.bench_function("accumulate_lanes", |b| {
-        b.iter(|| {
-            let mut acc = [0.0f32; 9];
-            for w in &weights {
-                accumulate_weighted_lanes(&mut acc, black_box(&values), *w);
+                accumulate_weighted(&mut acc, black_box(&values), *w);
             }
             acc
         })
@@ -214,16 +206,15 @@ fn bench_mlp(c: &mut Criterion) {
     let mut g = c.benchmark_group("mlp");
     g.throughput(Throughput::Elements(1));
     g.bench_function("forward_39_128_128_3", |b| b.iter(|| mlp.forward(black_box(&input))));
-    // The GEMV variants `bench_snapshot` records as `mlp_gemv.*`: explicit
-    // scalar reference, the lane-blocked rewrite, and fp16 weight storage
-    // with decode-on-load (models the weight-SRAM-bound datapath; slower in
-    // software, half the weight bytes).
+    // The other GEMV variants `bench_snapshot` records as `mlp_gemv.*`
+    // (`forward` above is the lane GEMV): the scalar oracle, and fp16
+    // weight storage with decode-on-load (models the weight-SRAM-bound
+    // datapath; slower in software, half the weight bytes).
     g.bench_function("forward_scalar", |b| b.iter(|| mlp.forward_scalar(black_box(&input))));
-    g.bench_function("forward_lanes", |b| b.iter(|| mlp.forward_lanes(black_box(&input))));
     g.bench_function("forward_fp16", |b| b.iter(|| mlp_f16.forward(black_box(&input))));
     let mut scratch = MlpScratch::new();
-    g.bench_function("forward_lanes_scratch_reuse", |b| {
-        b.iter(|| mlp.forward_lanes_with(black_box(&input), &mut scratch))
+    g.bench_function("forward_scratch_reuse", |b| {
+        b.iter(|| mlp.forward_with(black_box(&input), &mut scratch))
     });
     g.finish();
 }
@@ -288,6 +279,37 @@ fn bench_online_decode(c: &mut Criterion) {
                 }
             }
             hits
+        })
+    });
+    // Whole-cell decode + blend through the masked view: `interpolate_cell`
+    // reads the cell's 8 bitmap bits first and skips empty cells and
+    // corners; the scalar oracle decodes all 8 corners of every cell.
+    let cells: Vec<_> = (0..4096usize)
+        .filter_map(|i| {
+            let p = Vec3::new(
+                ((i * 7) % 47) as f32 + 0.35,
+                ((i * 13) % 47) as f32 + 0.65,
+                ((i * 29) % 47) as f32 + 0.15,
+            );
+            trilinear_cell(dims, p)
+        })
+        .collect();
+    g.bench_function("cell_masked_prefiltered", |b| {
+        b.iter(|| {
+            let mut acc = 0.0f32;
+            for cell in &cells {
+                acc += interpolate_cell(&view, black_box(cell)).density;
+            }
+            acc
+        })
+    });
+    g.bench_function("cell_masked_every_corner", |b| {
+        b.iter(|| {
+            let mut acc = 0.0f32;
+            for cell in &cells {
+                acc += interpolate_cell_scalar(&view, black_box(cell)).density;
+            }
+            acc
         })
     });
     g.finish();

@@ -24,10 +24,10 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use spnerf::render::bake::bake;
-use spnerf::render::composite::{accumulate_weighted_lanes, accumulate_weighted_scalar};
+use spnerf::render::composite::accumulate_weighted;
 use spnerf::render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
 use spnerf::render::interp::{
-    interpolate_cell_lanes, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
+    interpolate_cell, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
 };
 use spnerf::render::lanes::LANE_WIDTH;
 use spnerf::render::mlp::{
@@ -56,6 +56,8 @@ pub const SNAPSHOT_PREFIX: &str = "BENCH_";
 
 /// Kernel names every valid snapshot must report: both hot-path kernels in
 /// scalar + lane form, the fp16 GEMV variant, and the fp16 conversions.
+/// The `.lanes` rows time the production kernels ([`interpolate_cell`],
+/// [`Mlp::forward`]); the `.scalar` rows time their test oracles.
 ///
 /// Snapshots may report *more* kernels than these — PR 7 added the
 /// bake-and-defer rows ([`EXTRA_KERNELS`]) — but the required set is frozen
@@ -71,19 +73,22 @@ pub const REQUIRED_KERNELS: [&str; 8] = [
     "fp16.round_trip",
 ];
 
-/// Kernel rows recorded since PR 7, on top of [`REQUIRED_KERNELS`]: the
-/// bake pass (one color-MLP forward per occupied vertex), the deferred
-/// per-pixel view MLP, the compositing accumulator in both forms, and —
-/// since PR 10 — the temporal-reuse hot path (the forward-warp splat and
-/// the disocclusion test, one op per pixel each).
-pub const EXTRA_KERNELS: [&str; 6] = [
-    "bake.pass",
-    "deferred_mlp.pixel",
-    "composite.scalar",
-    "composite.lanes",
-    "warp.splat",
-    "disocclusion.test",
-];
+/// Kernel rows recorded on top of [`REQUIRED_KERNELS`]: the bake pass
+/// (one color-MLP forward per occupied vertex), the deferred per-pixel
+/// view MLP, the compositing accumulator, and the temporal-reuse hot path
+/// (the forward-warp splat and the disocclusion test, one op per pixel
+/// each).
+pub const EXTRA_KERNELS: [&str; 5] =
+    ["bake.pass", "deferred_mlp.pixel", "composite.scalar", "warp.splat", "disocclusion.test"];
+
+/// Kernel rows that historical snapshots carry but [`measure`] no longer
+/// times, because the kernel itself was deleted. `composite.lanes` was the
+/// lane-blocked compositing accumulator: 6–11x slower than
+/// `composite.scalar` in every snapshot that recorded it
+/// (`BENCH_pr7.json`, `BENCH_pr10.json`). Like any row outside
+/// [`REQUIRED_KERNELS`], a retired row is neither required nor rejected, so
+/// those files keep validating byte for byte.
+pub const RETIRED_KERNELS: [&str; 1] = ["composite.lanes"];
 
 /// Timing of one kernel variant.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,9 +110,10 @@ pub struct KernelResult {
 /// snapshots apart without re-reading the code that made them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
-    /// Whether the binary was built with the `simd` feature (which
-    /// implementation the *dispatching* render path uses; the snapshot
-    /// itself always measures every variant explicitly).
+    /// Whether the render path dispatches to the lane kernels. Always
+    /// `true` since the lane kernels became the only hot path; the key is
+    /// still written so the schema stays at v1 (older snapshots recorded
+    /// `false` for builds without the since-deleted `simd` feature).
     pub simd_dispatch: bool,
     /// [`LANE_WIDTH`] of the lane kernels.
     pub lane_width: u64,
@@ -262,7 +268,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
         time_kernel("trilinear.lanes", cells.len() as u64, target, || {
             let mut acc = 0.0f32;
             for cell in &cells {
-                acc += interpolate_cell_lanes(&grid, black_box(cell)).density;
+                acc += interpolate_cell(&grid, black_box(cell)).density;
             }
             black_box(acc);
         }),
@@ -276,7 +282,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
         time_kernel("mlp_gemv.lanes", inputs.len() as u64, target, || {
             let mut acc = 0.0f32;
             for input in &inputs {
-                acc += mlp.forward_lanes(black_box(input))[0];
+                acc += mlp.forward(black_box(input))[0];
             }
             black_box(acc);
         }),
@@ -321,14 +327,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
         time_kernel("composite.scalar", spec_weights.len() as u64, target, || {
             let mut acc = [0.0f32; SPEC_DIM];
             for w in &spec_weights {
-                accumulate_weighted_scalar(&mut acc, black_box(&spec_values), *w);
-            }
-            black_box(acc);
-        }),
-        time_kernel("composite.lanes", spec_weights.len() as u64, target, || {
-            let mut acc = [0.0f32; SPEC_DIM];
-            for w in &spec_weights {
-                accumulate_weighted_lanes(&mut acc, black_box(&spec_values), *w);
+                accumulate_weighted(&mut acc, black_box(&spec_values), *w);
             }
             black_box(acc);
         }),
@@ -351,7 +350,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
         schema_version: SCHEMA_VERSION,
         label: label.to_string(),
         fingerprint: Fingerprint {
-            simd_dispatch: cfg!(feature = "simd"),
+            simd_dispatch: true,
             lane_width: LANE_WIDTH as u64,
             feature_dim: FEATURE_DIM as u64,
             mlp_dims: [
@@ -820,6 +819,42 @@ mod tests {
         // Structurally valid JSON, wrong shape.
         let errs = validate_snapshot_json("{}").unwrap_err();
         assert!(errs.len() >= 4, "every missing section is reported: {errs:?}");
+    }
+
+    #[test]
+    fn retired_rows_keep_historical_snapshots_valid() {
+        // Every row any checked-in snapshot carries is a known kernel —
+        // measured today or explicitly retired — and every file validates.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let known: Vec<&str> = REQUIRED_KERNELS
+            .iter()
+            .chain(&EXTRA_KERNELS)
+            .chain(&RETIRED_KERNELS)
+            .copied()
+            .collect();
+        let mut retired_seen = Vec::new();
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with(SNAPSHOT_PREFIX) && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            validate_snapshot_json(&text).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+            let doc = parse_json(&text).unwrap();
+            for k in doc.get("kernels").and_then(Json::as_array).unwrap() {
+                let kname = k.get("name").and_then(Json::as_str).unwrap();
+                assert!(known.contains(&kname), "{name}: unknown kernel row `{kname}`");
+                if RETIRED_KERNELS.contains(&kname) {
+                    retired_seen.push(kname.to_string());
+                }
+            }
+        }
+        assert!(retired_seen.iter().any(|k| k == "composite.lanes"), "pr7/pr10 carry the row");
+        // A retired row is never measured again.
+        for retired in RETIRED_KERNELS {
+            assert!(!REQUIRED_KERNELS.contains(&retired) && !EXTRA_KERNELS.contains(&retired));
+        }
     }
 
     #[test]

@@ -117,6 +117,21 @@ impl VoxelSource for SpNerfView<'_> {
             _ => None,
         }
     }
+
+    /// Under [`MaskMode::Masked`], the cell's 8 corner bits straight from
+    /// the model's bitmap — the bitmap-masking unit ahead of the hash
+    /// lookup, so an empty cell costs one bitmap read instead of 8 decodes.
+    /// A clear bit decodes to [`DecodeOutcome::MaskedEmpty`] (or
+    /// [`DecodeOutcome::OutOfBounds`]), which satisfies the
+    /// [`VoxelSource::cell_mask`] contract. [`MaskMode::Unmasked`] keeps
+    /// the `0xFF` default: its hash collisions decode values outside the
+    /// bitmap.
+    fn cell_mask(&self, base: GridCoord) -> u8 {
+        match self.mode {
+            MaskMode::Masked => self.model.bitmap().cell_mask(base),
+            MaskMode::Unmasked => 0xFF,
+        }
+    }
 }
 
 #[cfg(test)]

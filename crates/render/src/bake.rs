@@ -17,9 +17,9 @@
 //!
 //! The pass is a pure function of `(source, mlp)`: single-threaded, no RNG,
 //! no ambient state. Baking twice yields byte-identical grids
-//! ([`BakedGrid::digest`] pins this), and because [`Mlp::forward_with`]'s
-//! scalar and lane paths are bitwise-equal, the bake output is also
-//! independent of the `simd` feature.
+//! ([`BakedGrid::digest`] pins this). [`Mlp::forward_with`] runs the lane
+//! GEMV, which is bitwise-equal to [`Mlp::forward_scalar`], so a bake
+//! through either gives the same grid.
 
 use crate::mlp::{encode_direction, Mlp, MlpScratch, MLP_INPUT_DIM};
 use crate::source::VoxelSource;

@@ -128,25 +128,68 @@ pub fn interpolate<S: VoxelSource + ?Sized>(source: &S, g: Vec3) -> InterpSample
 /// Interpolates `source` over an already-computed [`TrilinearCell`] — the
 /// arithmetic core of [`interpolate`], split out so callers that resolve
 /// the cell themselves (the empty-space-skipping ray marcher) don't compute
-/// it twice. Bitwise-identical to [`interpolate`] at the cell's position.
+/// it twice. Bitwise-identical to [`interpolate`] at the cell's position
+/// and to the scalar oracle [`interpolate_cell_scalar`].
 ///
-/// Dispatches to [`interpolate_cell_lanes`] under the `simd` feature and to
-/// [`interpolate_cell_scalar`] otherwise; the two are bitwise-identical, so
-/// the feature flag never changes a rendered pixel.
+/// Structure follows the accelerator's pipeline:
+///
+/// 1. **Occupancy prefilter** — one [`VoxelSource::cell_mask`] read. A
+///    zero mask (a cell with no occupied corner, the common case in sparse
+///    scenes) returns [`InterpSample::empty`] without a single fetch, and
+///    corners whose bit is clear are never fetched: the software form of
+///    the paper's bitmap masking ahead of the hash-table read.
+/// 2. **Gather** — the remaining contributing corners, with the same
+///    `w == 0` and occupancy tests as the scalar path, in the same corner
+///    order.
+/// 3. **Blend** — the Trilinear Interpolation Unit: all [`FEATURE_DIM`]
+///    feature channels in lane form, two [`F32x8`] vectors (channels 0..8
+///    and 8..12 zero-padded) scaled by the splatted corner weight. The
+///    lanes hold independent output channels and corners accumulate
+///    sequentially, so each channel's float-addition order is exactly the
+///    scalar one; see [`crate::lanes`] for the bitwise contract.
 pub fn interpolate_cell<S: VoxelSource + ?Sized>(source: &S, cell: &TrilinearCell) -> InterpSample {
-    #[cfg(feature = "simd")]
-    {
-        interpolate_cell_lanes(source, cell)
+    const EMPTY: VoxelData = VoxelData { density: 0.0, features: [0.0; FEATURE_DIM] };
+    let mask = source.cell_mask(cell.base);
+    if mask == 0 {
+        return InterpSample::empty();
     }
-    #[cfg(not(feature = "simd"))]
-    {
-        interpolate_cell_scalar(source, cell)
+    let corners = cell.base.cell_corners();
+    let mut weights = [0.0f32; 8];
+    let mut data = [EMPTY; 8];
+    let mut n = 0usize;
+    for (k, (corner, w)) in corners.iter().zip(cell.weights).enumerate() {
+        if w == 0.0 || mask & (1 << k) == 0 {
+            continue;
+        }
+        if let Some(vd) = source.fetch(*corner) {
+            weights[n] = w;
+            data[n] = vd;
+            n += 1;
+        }
     }
+    // Density stays scalar (one channel); features run as two 8-wide
+    // lanes with an unfused multiply-then-add per corner.
+    let mut density = 0.0f32;
+    let mut lo = F32x8::ZERO;
+    let mut hi = F32x8::ZERO;
+    for (w, vd) in weights[..n].iter().zip(&data[..n]) {
+        density += w * vd.density;
+        let wl = F32x8::splat(*w);
+        lo = wl.mul_add(F32x8::load(&vd.features), lo);
+        hi = wl.mul_add(F32x8::load_padded(&vd.features[8..]), hi);
+    }
+    let mut out = InterpSample::empty();
+    out.density = density;
+    lo.store_padded(&mut out.features[..8]);
+    hi.store_padded(&mut out.features[8..]);
+    out.occupied_corners = n as u8;
+    out
 }
 
-/// The scalar reference implementation of [`interpolate_cell`]: one corner
-/// at a time, one feature channel at a time. This is the conformance anchor
-/// the lane kernel is pinned against.
+/// The scalar reference for [`interpolate_cell`]: one corner at a time,
+/// one feature channel at a time, every corner fetched (no
+/// [`VoxelSource::cell_mask`] prefilter). This is the test oracle the lane
+/// kernel and the prefilter are pinned against.
 pub fn interpolate_cell_scalar<S: VoxelSource + ?Sized>(
     source: &S,
     cell: &TrilinearCell,
@@ -165,56 +208,6 @@ pub fn interpolate_cell_scalar<S: VoxelSource + ?Sized>(
             out.occupied_corners += 1;
         }
     }
-    out
-}
-
-/// The lane-batched implementation of [`interpolate_cell`], bitwise-equal
-/// to [`interpolate_cell_scalar`].
-///
-/// Structure follows the accelerator's Trilinear Interpolation Unit:
-/// *gather* the contributing corners first (the same `w == 0` and masked
-/// occupancy tests as the scalar path, in the same corner order), then
-/// *blend* all [`FEATURE_DIM`] feature channels in lane form — two [`F32x8`]
-/// vectors (channels 0..8 and 8..12 zero-padded) scaled by the splatted
-/// corner weight. The lanes hold independent output channels and corners
-/// accumulate sequentially, so each channel's float-addition order is
-/// exactly the scalar one; see [`crate::lanes`] for the bitwise contract.
-pub fn interpolate_cell_lanes<S: VoxelSource + ?Sized>(
-    source: &S,
-    cell: &TrilinearCell,
-) -> InterpSample {
-    const EMPTY: VoxelData = VoxelData { density: 0.0, features: [0.0; FEATURE_DIM] };
-    let corners = cell.base.cell_corners();
-    // Gather phase: contributing corners in scalar order.
-    let mut weights = [0.0f32; 8];
-    let mut data = [EMPTY; 8];
-    let mut n = 0usize;
-    for (corner, w) in corners.iter().zip(cell.weights) {
-        if w == 0.0 {
-            continue;
-        }
-        if let Some(vd) = source.fetch(*corner) {
-            weights[n] = w;
-            data[n] = vd;
-            n += 1;
-        }
-    }
-    // Blend phase: density stays scalar (one channel), features run as two
-    // 8-wide lanes with an unfused multiply-then-add per corner.
-    let mut density = 0.0f32;
-    let mut lo = F32x8::ZERO;
-    let mut hi = F32x8::ZERO;
-    for (w, vd) in weights[..n].iter().zip(&data[..n]) {
-        density += w * vd.density;
-        let wl = F32x8::splat(*w);
-        lo = wl.mul_add(F32x8::load_padded(&vd.features[..8]), lo);
-        hi = wl.mul_add(F32x8::load_padded(&vd.features[8..]), hi);
-    }
-    let mut out = InterpSample::empty();
-    out.density = density;
-    lo.store_padded(&mut out.features[..8]);
-    hi.store_padded(&mut out.features[8..]);
-    out.occupied_corners = n as u8;
     out
 }
 
@@ -327,14 +320,12 @@ mod tests {
         ] {
             let cell = trilinear_cell(g.dims(), pos).unwrap();
             let s = interpolate_cell_scalar(&g, &cell);
-            let l = interpolate_cell_lanes(&g, &cell);
+            let l = interpolate_cell(&g, &cell);
             assert_eq!(s.density.to_bits(), l.density.to_bits(), "density at {pos:?}");
             for (a, b) in s.features.iter().zip(l.features) {
                 assert_eq!(a.to_bits(), b.to_bits(), "feature channel at {pos:?}");
             }
             assert_eq!(s.occupied_corners, l.occupied_corners);
-            // The dispatching entry point agrees with both.
-            assert_eq!(interpolate_cell(&g, &cell), s);
         }
     }
 

@@ -11,17 +11,41 @@
 //! reductions, no reassociation, and [`F32x8::mul_add`] is deliberately an
 //! unfused multiply-then-add. A kernel that accumulates lane-wise in the
 //! same per-element order as its scalar reference therefore produces
-//! bit-identical results — which is what lets the `simd` feature flag flip
-//! between [`crate::interp::interpolate_cell_scalar`] /
-//! [`crate::interp::interpolate_cell_lanes`] (and the MLP GEMV pair) without
-//! perturbing a single pixel of any golden render.
+//! bit-identical results. That is why the lane kernels are the renderer's
+//! only hot path ([`crate::interp::interpolate_cell`], [`crate::mlp::Mlp::forward_with`],
+//! [`crate::mlp::DeferredMlp::forward`]) while the scalar references
+//! ([`crate::interp::interpolate_cell_scalar`],
+//! [`crate::mlp::Mlp::forward_scalar`]) survive only as test oracles: every
+//! golden render is the same bit for bit under either.
 //!
 //! The trick is choosing the lane axis: both vectorized kernels put
 //! *independent outputs* in the lanes (feature channels for interpolation,
 //! output neurons for the GEMV) and keep the reduction axis sequential, so
-//! each output's float-addition order is exactly the scalar one.
+//! each output's float-addition order is exactly the scalar one. Kernels
+//! without such an axis stay scalar: compositing blends only 3 to 9
+//! channels, where the padded lane loads measured several times slower.
+//!
+//! Every element-wise operation is spelled out lane by lane (the private
+//! `per_lane!` macro) rather than as an iterator chain. Optimized builds
+//! vectorize both forms alike, but unoptimized test builds pay a function
+//! call per iterator step, which made the lane kernels several times slower
+//! than the scalar loops they replace there.
 
 use std::ops::{Add, AddAssign, Mul};
+
+/// Builds a lane array by evaluating `$e` once per lane with `$i` bound to
+/// the lane index `0..8`, without loops or closures.
+macro_rules! per_lane {
+    ($i:ident => $e:expr) => {
+        per_lane!(@ $i, $e, 0 1 2 3 4 5 6 7)
+    };
+    (@ $i:ident, $e:expr, $($n:literal)*) => {
+        [$({
+            let $i: usize = $n;
+            $e
+        }),*]
+    };
+}
 
 /// Number of `f32` elements per [`F32x8`] lane vector.
 pub const LANE_WIDTH: usize = 8;
@@ -61,6 +85,17 @@ impl F32x8 {
         self.0
     }
 
+    /// Loads the first [`LANE_WIDTH`] elements of `s` — the full-width
+    /// load of the hot loops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is shorter than [`LANE_WIDTH`].
+    pub fn load(s: &[f32]) -> Self {
+        let s = &s[..LANE_WIDTH];
+        Self(per_lane!(i => s[i]))
+    }
+
     /// Loads up to [`LANE_WIDTH`] elements from the front of `s`,
     /// zero-filling the tail — the padded load used at ragged edges
     /// (e.g. feature channels 8..12, or an output block past `out_dim`).
@@ -84,11 +119,8 @@ impl F32x8 {
     /// `acc += w * x` it replaces — **not** a fused `mul_add`, which would
     /// round once and break bitwise equality with the scalar reference.
     pub fn mul_add(self, m: F32x8, acc: F32x8) -> F32x8 {
-        let mut out = [0.0f32; LANE_WIDTH];
-        for ((o, (a, b)), c) in out.iter_mut().zip(self.0.iter().zip(m.0)).zip(acc.0) {
-            *o = c + a * b;
-        }
-        Self(out)
+        let (a, b, c) = (self.0, m.0, acc.0);
+        Self(per_lane!(i => c[i] + a[i] * b[i]))
     }
 }
 
@@ -96,11 +128,8 @@ impl Add for F32x8 {
     type Output = F32x8;
 
     fn add(self, rhs: F32x8) -> F32x8 {
-        let mut out = [0.0f32; LANE_WIDTH];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0)) {
-            *o = a + b;
-        }
-        Self(out)
+        let (a, b) = (self.0, rhs.0);
+        Self(per_lane!(i => a[i] + b[i]))
     }
 }
 
@@ -114,11 +143,8 @@ impl Mul for F32x8 {
     type Output = F32x8;
 
     fn mul(self, rhs: F32x8) -> F32x8 {
-        let mut out = [0.0f32; LANE_WIDTH];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0)) {
-            *o = a * b;
-        }
-        Self(out)
+        let (a, b) = (self.0, rhs.0);
+        Self(per_lane!(i => a[i] * b[i]))
     }
 }
 
@@ -132,6 +158,19 @@ mod tests {
         assert_eq!(v.to_array(), [2.5; 8]);
         let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         assert_eq!(F32x8::from_array(a).to_array(), a);
+    }
+
+    #[test]
+    fn full_load_takes_the_first_lane_width_elements() {
+        let long: Vec<f32> = (0..12).map(|i| i as f32).collect();
+        assert_eq!(F32x8::load(&long).to_array(), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        assert_eq!(F32x8::load(&long[4..]), F32x8::load_padded(&long[4..]));
+    }
+
+    #[test]
+    #[should_panic]
+    fn full_load_rejects_short_slices() {
+        let _ = F32x8::load(&[1.0; 7]);
     }
 
     #[test]

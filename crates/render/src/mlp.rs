@@ -54,15 +54,17 @@ const fn pad_to_lanes(out_dim: usize) -> usize {
     out_dim.div_ceil(LANE_WIDTH) * LANE_WIDTH
 }
 
-/// Re-lays row-major `out_dim × in_dim` weights as the in-major
-/// `in_dim × padded_out` operand the lane GEMV streams: element
-/// `(i, o)` lands at `i * padded_out + o`, padding columns are zero.
-fn lane_transpose(weights: &[f32], in_dim: usize, out_dim: usize) -> Vec<f32> {
-    let padded = pad_to_lanes(out_dim);
-    let mut t = vec![0.0f32; in_dim * padded];
+/// Re-lays row-major `out_dim × in_dim` weights as the lane-blocked
+/// operand the lane GEMV streams: one contiguous `in_dim × LANE_WIDTH`
+/// block per group of 8 output neurons, so element `(i, o)` lands at
+/// `(o / 8) · in_dim · 8 + i · 8 + o % 8`. Padding columns (past `out_dim`
+/// in the last block) are zero.
+fn lane_blocks(weights: &[f32], in_dim: usize, out_dim: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; in_dim * pad_to_lanes(out_dim)];
     for o in 0..out_dim {
         for i in 0..in_dim {
-            t[i * padded + o] = weights[o * in_dim + i];
+            t[(o / LANE_WIDTH) * in_dim * LANE_WIDTH + i * LANE_WIDTH + o % LANE_WIDTH] =
+                weights[o * in_dim + i];
         }
     }
     t
@@ -75,8 +77,8 @@ struct Layer {
     out_dim: usize,
     /// Row-major `out_dim × in_dim` (the scalar path's layout).
     weights: Vec<f32>,
-    /// The same weights in lane-blocked in-major `in_dim × padded_out`
-    /// layout ([`lane_transpose`]), streamed by the lane GEMV.
+    /// The same weights in lane-blocked layout ([`lane_blocks`]), streamed
+    /// by the lane GEMV.
     weights_t: Vec<f32>,
     bias: Vec<f32>,
 }
@@ -92,7 +94,7 @@ impl Layer {
     fn from_parts(in_dim: usize, out_dim: usize, weights: Vec<f32>, bias: Vec<f32>) -> Self {
         debug_assert_eq!(weights.len(), in_dim * out_dim);
         debug_assert_eq!(bias.len(), out_dim);
-        let weights_t = lane_transpose(&weights, in_dim, out_dim);
+        let weights_t = lane_blocks(&weights, in_dim, out_dim);
         Self { in_dim, out_dim, weights, weights_t, bias }
     }
 
@@ -138,19 +140,19 @@ impl Layer {
     /// Each [`F32x8`] lane holds 8 *independent* output neurons; inputs
     /// stream in the same ascending `i` order as the scalar path with an
     /// unfused multiply-then-add, so every output's float-addition order —
-    /// and therefore its bits — is unchanged. The padded tail columns
-    /// accumulate zeros and are never stored.
+    /// and therefore its bits — is unchanged (`w · x` and `x · w` round
+    /// identically). The padded tail columns accumulate zeros and are
+    /// never stored.
     fn forward_into_lanes(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim);
         debug_assert_eq!(out.len(), self.out_dim);
-        let padded = pad_to_lanes(self.out_dim);
-        for jb in (0..padded).step_by(LANE_WIDTH) {
-            let mut acc = F32x8::load_padded(&self.bias[jb.min(self.bias.len())..]);
-            for (i, xi) in x.iter().enumerate() {
-                let w = F32x8::load_padded(&self.weights_t[i * padded + jb..i * padded + jb + 8]);
-                acc = F32x8::splat(*xi).mul_add(w, acc);
+        for (b, block) in self.weights_t.chunks_exact(self.in_dim * LANE_WIDTH).enumerate() {
+            let j = b * LANE_WIDTH;
+            let mut acc = F32x8::load_padded(&self.bias[j..]);
+            for (w, xi) in block.chunks_exact(LANE_WIDTH).zip(x) {
+                acc = F32x8::splat(*xi).mul_add(F32x8::load(w), acc);
             }
-            acc.store_padded(&mut out[jb..self.out_dim.min(jb + LANE_WIDTH)]);
+            acc.store_padded(&mut out[j..]);
         }
     }
 }
@@ -193,9 +195,8 @@ impl Mlp {
 
     /// Runs the network on one 39-element input, returning RGB in `[0, 1]`.
     ///
-    /// Dispatches to the lane GEMV under the `simd` feature and to the
-    /// scalar reference otherwise; the two are bitwise-identical (see
-    /// [`crate::lanes`]), so the feature flag never changes a pixel.
+    /// Runs the lane-blocked GEMV, bitwise-identical to the scalar oracle
+    /// [`Mlp::forward_scalar`] (see [`crate::lanes`]).
     pub fn forward(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
         self.forward_with(input, &mut MlpScratch::new())
     }
@@ -208,59 +209,29 @@ impl Mlp {
         input: &[f32; MLP_INPUT_DIM],
         scratch: &mut MlpScratch,
     ) -> [f32; MLP_OUTPUT_DIM] {
-        #[cfg(feature = "simd")]
-        {
-            self.forward_lanes_with(input, scratch)
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            self.forward_scalar_with(input, scratch)
-        }
-    }
-
-    /// The scalar reference forward pass — the conformance anchor the lane
-    /// and fp16 variants are pinned against.
-    pub fn forward_scalar(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        self.forward_scalar_with(input, &mut MlpScratch::new())
-    }
-
-    /// [`Mlp::forward_scalar`] with caller-owned scratch.
-    pub fn forward_scalar_with(
-        &self,
-        input: &[f32; MLP_INPUT_DIM],
-        scratch: &mut MlpScratch,
-    ) -> [f32; MLP_OUTPUT_DIM] {
-        let mut out = [0.0f32; MLP_OUTPUT_DIM];
-        self.l1.forward_into(input, &mut scratch.h1);
-        relu(&mut scratch.h1);
-        self.l2.forward_into(&scratch.h1, &mut scratch.h2);
-        relu(&mut scratch.h2);
-        self.l3.forward_into(&scratch.h2, &mut out);
-        for o in &mut out {
-            *o = sigmoid(*o);
-        }
-        out
-    }
-
-    /// The lane-blocked forward pass, bitwise-equal to
-    /// [`Mlp::forward_scalar`]; always compiled so tests pin the
-    /// equivalence regardless of the `simd` feature.
-    pub fn forward_lanes(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        self.forward_lanes_with(input, &mut MlpScratch::new())
-    }
-
-    /// [`Mlp::forward_lanes`] with caller-owned scratch.
-    pub fn forward_lanes_with(
-        &self,
-        input: &[f32; MLP_INPUT_DIM],
-        scratch: &mut MlpScratch,
-    ) -> [f32; MLP_OUTPUT_DIM] {
         let mut out = [0.0f32; MLP_OUTPUT_DIM];
         self.l1.forward_into_lanes(input, &mut scratch.h1);
         relu(&mut scratch.h1);
         self.l2.forward_into_lanes(&scratch.h1, &mut scratch.h2);
         relu(&mut scratch.h2);
         self.l3.forward_into_lanes(&scratch.h2, &mut out);
+        for o in &mut out {
+            *o = sigmoid(*o);
+        }
+        out
+    }
+
+    /// The scalar reference forward pass: one output row at a time. This
+    /// is the test oracle the lane GEMV ([`Mlp::forward`]) and the fp16
+    /// variants are pinned against.
+    pub fn forward_scalar(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
+        let mut scratch = MlpScratch::new();
+        let mut out = [0.0f32; MLP_OUTPUT_DIM];
+        self.l1.forward_into(input, &mut scratch.h1);
+        relu(&mut scratch.h1);
+        self.l2.forward_into(&scratch.h1, &mut scratch.h2);
+        relu(&mut scratch.h2);
+        self.l3.forward_into(&scratch.h2, &mut out);
         for o in &mut out {
             *o = sigmoid(*o);
         }
@@ -382,8 +353,8 @@ impl Default for MlpScratch {
 struct LayerF16 {
     in_dim: usize,
     out_dim: usize,
-    /// Lane-blocked in-major `in_dim × padded_out` weights as binary16 bit
-    /// patterns — the layout the accelerator's weight SRAM streams.
+    /// Lane-blocked weights ([`lane_blocks`] layout) as binary16 bit
+    /// patterns.
     weights_t: Vec<u16>,
     /// Row-major `out_dim × in_dim` weights as binary16 bit patterns (the
     /// scalar path's layout).
@@ -422,21 +393,18 @@ impl LayerF16 {
     fn forward_into_lanes(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim);
         debug_assert_eq!(out.len(), self.out_dim);
-        let padded = pad_to_lanes(self.out_dim);
-        for jb in (0..padded).step_by(LANE_WIDTH) {
+        for (b, block) in self.weights_t.chunks_exact(self.in_dim * LANE_WIDTH).enumerate() {
+            let j = b * LANE_WIDTH;
             let mut bias = [0.0f32; LANE_WIDTH];
-            for (slot, b) in bias.iter_mut().zip(&self.bias[jb.min(self.bias.len())..]) {
-                *slot = f16_bits_to_f32(*b);
+            for (slot, bits) in bias.iter_mut().zip(&self.bias[j..]) {
+                *slot = f16_bits_to_f32(*bits);
             }
             let mut acc = F32x8::from_array(bias);
-            for (i, xi) in x.iter().enumerate() {
-                let mut w = [0.0f32; LANE_WIDTH];
-                for (slot, bits) in w.iter_mut().zip(&self.weights_t[i * padded + jb..]) {
-                    *slot = f16_bits_to_f32(*bits);
-                }
+            for (w, xi) in block.chunks_exact(LANE_WIDTH).zip(x) {
+                let w = std::array::from_fn(|l| f16_bits_to_f32(w[l]));
                 acc = F32x8::splat(*xi).mul_add(F32x8::from_array(w), acc);
             }
-            acc.store_padded(&mut out[jb..self.out_dim.min(jb + LANE_WIDTH)]);
+            acc.store_padded(&mut out[j..]);
         }
     }
 }
@@ -544,9 +512,8 @@ pub const DEFERRED_HIDDEN_DIM: usize = 32;
 /// RGB residual **once per pixel**. Hidden activations are ReLU; the output
 /// is squashed by a sigmoid like the main network.
 ///
-/// Like every hot-path kernel, the lane-blocked forward pass is
-/// bitwise-identical to the scalar reference, so the `simd` feature never
-/// changes a deferred pixel.
+/// Like every GEMV here, the forward pass runs lane-blocked and is
+/// bitwise-identical to its scalar reference.
 ///
 /// # Examples
 ///
@@ -578,20 +545,25 @@ impl DeferredMlp {
     }
 
     /// Runs the network on one accumulated-feature ⊕ view-encoding input,
-    /// returning RGB in `[0, 1]`. Dispatches to the lane GEMV under the
-    /// `simd` feature; both implementations are bitwise-identical.
+    /// returning RGB in `[0, 1]`, through the lane-blocked GEMV —
+    /// bitwise-identical to [`DeferredMlp::forward_scalar`].
     pub fn forward(&self, input: &[f32; DEFERRED_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        #[cfg(feature = "simd")]
-        {
-            self.forward_lanes(input)
+        let mut h1 = [0.0f32; DEFERRED_HIDDEN_DIM];
+        let mut h2 = [0.0f32; DEFERRED_HIDDEN_DIM];
+        let mut out = [0.0f32; MLP_OUTPUT_DIM];
+        self.l1.forward_into_lanes(input, &mut h1);
+        relu(&mut h1);
+        self.l2.forward_into_lanes(&h1, &mut h2);
+        relu(&mut h2);
+        self.l3.forward_into_lanes(&h2, &mut out);
+        for o in &mut out {
+            *o = sigmoid(*o);
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            self.forward_scalar(input)
-        }
+        out
     }
 
-    /// The scalar reference forward pass.
+    /// The scalar reference forward pass — the test oracle for
+    /// [`DeferredMlp::forward`].
     pub fn forward_scalar(&self, input: &[f32; DEFERRED_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
         let mut h1 = [0.0f32; DEFERRED_HIDDEN_DIM];
         let mut h2 = [0.0f32; DEFERRED_HIDDEN_DIM];
@@ -601,24 +573,6 @@ impl DeferredMlp {
         self.l2.forward_into(&h1, &mut h2);
         relu(&mut h2);
         self.l3.forward_into(&h2, &mut out);
-        for o in &mut out {
-            *o = sigmoid(*o);
-        }
-        out
-    }
-
-    /// The lane-blocked forward pass, bitwise-equal to
-    /// [`DeferredMlp::forward_scalar`]; always compiled so tests pin the
-    /// equivalence regardless of the `simd` feature.
-    pub fn forward_lanes(&self, input: &[f32; DEFERRED_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        let mut h1 = [0.0f32; DEFERRED_HIDDEN_DIM];
-        let mut h2 = [0.0f32; DEFERRED_HIDDEN_DIM];
-        let mut out = [0.0f32; MLP_OUTPUT_DIM];
-        self.l1.forward_into_lanes(input, &mut h1);
-        relu(&mut h1);
-        self.l2.forward_into_lanes(&h1, &mut h2);
-        relu(&mut h2);
-        self.l3.forward_into_lanes(&h2, &mut out);
         for o in &mut out {
             *o = sigmoid(*o);
         }
@@ -753,12 +707,10 @@ mod tests {
         let mlp = Mlp::random(9);
         for input in random_inputs(21, 32) {
             let s = mlp.forward_scalar(&input);
-            let l = mlp.forward_lanes(&input);
+            let l = mlp.forward(&input);
             for (a, b) in s.iter().zip(l) {
                 assert_eq!(a.to_bits(), b.to_bits(), "lane GEMV diverged from scalar");
             }
-            // The dispatching entry point agrees with both.
-            assert_eq!(mlp.forward(&input), s);
         }
     }
 
@@ -880,11 +832,10 @@ mod tests {
                 *x = rng.gen_range(-2.0..2.0);
             }
             let s = mlp.forward_scalar(&input);
-            let l = mlp.forward_lanes(&input);
+            let l = mlp.forward(&input);
             for (a, b) in s.iter().zip(l) {
                 assert_eq!(a.to_bits(), b.to_bits(), "deferred lane GEMV diverged from scalar");
             }
-            assert_eq!(mlp.forward(&input), s, "dispatch must agree with both");
             assert!(s.iter().all(|c| (0.0..=1.0).contains(c)), "rgb out of range: {s:?}");
         }
     }

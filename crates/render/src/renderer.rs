@@ -104,7 +104,7 @@ impl SkipMode {
 /// through the accelerator model.
 ///
 /// Both variants are pure per-ray computations, so every determinism
-/// guarantee (threads, tiles, packet sizes, `simd` feature) holds for both.
+/// guarantee (threads, tiles, packet sizes) holds for both.
 #[derive(Debug, Clone, Copy)]
 pub enum Shader<'a> {
     /// Evaluate the full color MLP on every shaded sample.

@@ -46,6 +46,21 @@ pub trait VoxelSource {
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         None
     }
+
+    /// Occupancy prefilter for the interpolation cell whose lower corner is
+    /// `base`: bit `k` covers corner `k` of [`GridCoord::cell_corners`].
+    ///
+    /// [`crate::interp::interpolate_cell`] reads this once per cell before
+    /// fetching: a zero mask makes the whole cell empty at the cost of one
+    /// test, and corners with a clear bit are never fetched. The default
+    /// `0xFF` ("any corner may fetch") prefilters nothing.
+    /// **Safety contract:** a clear bit must imply [`VoxelSource::fetch`]
+    /// returns `None` at that corner — a set bit over an empty corner only
+    /// costs the fetch, a clear bit over an occupied one changes pixels.
+    fn cell_mask(&self, base: GridCoord) -> u8 {
+        let _ = base;
+        0xFF
+    }
 }
 
 /// The exact support of a source: one bit per vertex where
@@ -124,6 +139,10 @@ impl<T: VoxelSource + ?Sized> VoxelSource for &T {
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         (**self).occupancy_mip()
     }
+
+    fn cell_mask(&self, base: GridCoord) -> u8 {
+        (**self).cell_mask(base)
+    }
 }
 
 /// A [`VoxelSource`] with an occupancy pyramid attached, enabling
@@ -195,6 +214,10 @@ impl<S: VoxelSource> VoxelSource for WithOccupancy<S> {
 
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         Some(&self.mip)
+    }
+
+    fn cell_mask(&self, base: GridCoord) -> u8 {
+        self.source.cell_mask(base)
     }
 }
 

@@ -1,23 +1,19 @@
 //! Property tests pinning the lane kernels to their scalar references.
 //!
-//! Equality — not tolerance — is the contract: `interpolate_cell_lanes`
-//! and `forward_lanes` must be **bitwise identical** to the scalar
-//! implementations for every input, so flipping the `simd` feature can
-//! never change a rendered pixel. These tests drive both implementations
-//! directly (they exist under every feature combination) over random
-//! cells, weights, and all five corpus archetypes; the fp16-storage MLP is
-//! pinned bitwise to its own scalar reference and to the quantized-f32
-//! twin, and only tolerance-checked against full precision (rounding
-//! weights through binary16 genuinely changes them). The bake-and-defer
-//! kernels carry the same contract: the compositing accumulator and the
-//! deferred per-pixel MLP are pinned lane-vs-scalar bitwise too.
+//! The lane kernels are the renderer's only hot path:
+//! `interpolate_cell`, `Mlp::forward{,_with}` and `DeferredMlp::forward`
+//! run lane-blocked, and `interpolate_cell_scalar` / `forward_scalar`
+//! survive as test oracles. Equality — not tolerance — is the contract:
+//! each lane kernel must be **bitwise identical** to its scalar oracle for
+//! every input, so no rendered pixel depends on which one ran. These tests
+//! drive both over random cells, weights, and all five corpus archetypes;
+//! the fp16-storage MLP is pinned bitwise to its own scalar reference and
+//! to the quantized-f32 twin, and only tolerance-checked against full
+//! precision (rounding weights through binary16 genuinely changes them).
 
 use proptest::prelude::*;
-use spnerf_render::composite::{
-    accumulate_weighted, accumulate_weighted_lanes, accumulate_weighted_scalar,
-};
 use spnerf_render::interp::{
-    interpolate_cell_lanes, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
+    interpolate_cell, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
 };
 use spnerf_render::mlp::{DeferredMlp, Mlp, MlpF16, MlpScratch, DEFERRED_INPUT_DIM, MLP_INPUT_DIM};
 use spnerf_render::scene::{build_grid, SceneId};
@@ -76,7 +72,7 @@ proptest! {
             return Ok(()); // fractional part of 1.0 can land outside
         };
         let scalar = interpolate_cell_scalar(&grid, &cell);
-        let lanes = interpolate_cell_lanes(&grid, &cell);
+        let lanes = interpolate_cell(&grid, &cell);
         assert_samples_bitwise(&scalar, &lanes, &format!("{} at {p:?}", spec.label()));
     }
 
@@ -105,7 +101,7 @@ proptest! {
             weights,
         };
         let scalar = interpolate_cell_scalar(&grid, &cell);
-        let lanes = interpolate_cell_lanes(&grid, &cell);
+        let lanes = interpolate_cell(&grid, &cell);
         assert_samples_bitwise(&scalar, &lanes, &format!("base={base} mask={zero_mask:08b}"));
     }
 
@@ -117,7 +113,7 @@ proptest! {
         let mlp = Mlp::random(mlp_seed);
         let input = mlp_input(input_seed);
         let scalar = mlp.forward_scalar(&input);
-        let lanes = mlp.forward_lanes(&input);
+        let lanes = mlp.forward(&input);
         for (k, (s, l)) in scalar.iter().zip(lanes.iter()).enumerate() {
             prop_assert_eq!(
                 s.to_bits(), l.to_bits(),
@@ -126,8 +122,8 @@ proptest! {
         }
         // A dirty scratch buffer must not leak between forwards.
         let mut scratch = MlpScratch::new();
-        let _ = mlp.forward_lanes_with(&mlp_input(input_seed ^ 0xFFFF), &mut scratch);
-        let reused = mlp.forward_lanes_with(&input, &mut scratch);
+        let _ = mlp.forward_with(&mlp_input(input_seed ^ 0xFFFF), &mut scratch);
+        let reused = mlp.forward_with(&input, &mut scratch);
         prop_assert_eq!(reused, lanes, "scratch reuse changed the result");
     }
 
@@ -164,45 +160,9 @@ proptest! {
         }
     }
 
-    // The compositing accumulator's lane-blocked form equals the scalar
-    // reference bitwise for any channel count (full blocks and ragged
-    // tails), any starting accumulator, any weight sign or magnitude —
-    // and the dispatching entry point agrees with both under either
-    // feature. This is the kernel every composited pixel and every
-    // accumulated specular feature runs through.
-    #[test]
-    fn composite_accumulate_is_bitwise_scalar(
-        len in 0usize..33,
-        acc_seed in 0u64..10_000,
-        val_seed in 0u64..10_000,
-        weight_idx in 0usize..6,
-    ) {
-        let raw_acc = mlp_input(acc_seed);
-        let raw_val = mlp_input(val_seed);
-        let w = [0.0f32, 1.0, -1.0, 0.12345, -2.5, 1e-8][weight_idx];
-        let mut scalar: Vec<f32> = raw_acc.iter().cycle().take(len).copied().collect();
-        let values: Vec<f32> = raw_val.iter().cycle().take(len).copied().collect();
-        let mut lanes = scalar.clone();
-        let mut dispatched = scalar.clone();
-        accumulate_weighted_scalar(&mut scalar, &values, w);
-        accumulate_weighted_lanes(&mut lanes, &values, w);
-        accumulate_weighted(&mut dispatched, &values, w);
-        for c in 0..len {
-            prop_assert_eq!(
-                scalar[c].to_bits(), lanes[c].to_bits(),
-                "channel {} diverged: len={} w={}", c, len, w
-            );
-            prop_assert_eq!(
-                scalar[c].to_bits(), dispatched[c].to_bits(),
-                "dispatch diverged at channel {}: len={} w={}", c, len, w
-            );
-        }
-    }
-
     // The deferred per-pixel MLP carries the same lane/scalar contract as
     // the big color MLP: bitwise equality for random networks and random
-    // specular-feature ⊕ view-encoding inputs, dispatch included — so the
-    // `simd` feature can never change a deferred-shaded pixel.
+    // specular-feature ⊕ view-encoding inputs.
     #[test]
     fn deferred_mlp_is_bitwise_scalar(mlp_seed in 0u64..50, input_seed in 0u64..10_000) {
         let mlp = DeferredMlp::random(mlp_seed);
@@ -210,28 +170,22 @@ proptest! {
         let mut input = [0.0f32; DEFERRED_INPUT_DIM];
         input.copy_from_slice(&raw[..DEFERRED_INPUT_DIM]);
         let scalar = mlp.forward_scalar(&input);
-        let lanes = mlp.forward_lanes(&input);
-        let dispatched = mlp.forward(&input);
+        let lanes = mlp.forward(&input);
         for (k, (s, l)) in scalar.iter().zip(lanes.iter()).enumerate() {
             prop_assert_eq!(
                 s.to_bits(), l.to_bits(),
                 "deferred output[{}] diverged: mlp_seed={} input_seed={}",
                 k, mlp_seed, input_seed
             );
-            prop_assert_eq!(
-                dispatched[k].to_bits(), s.to_bits(),
-                "deferred dispatch diverged at [{}]: mlp_seed={}", k, mlp_seed
-            );
         }
     }
 }
 
-/// Non-proptest pin: the dispatching entry points resolve to whichever
-/// implementation the `simd` feature selects, and both implementations
-/// agree on every scene of the standard corpus at grid side 16 — a cheap
-/// exhaustive-ish sweep that runs identically under either feature.
+/// Non-proptest pin: the lane interpolation agrees with the scalar oracle
+/// on every scene of the standard corpus at grid side 16 — a cheap
+/// exhaustive-ish sweep next to the random draws above.
 #[test]
-fn dispatch_agrees_with_both_implementations_across_corpus() {
+fn lane_interpolation_is_bitwise_scalar_across_corpus() {
     for &arch in Archetype::ALL.iter() {
         let spec = CorpusSpec::new(arch, 16, 0.15, 42);
         let grid = generate(&spec);
@@ -244,10 +198,8 @@ fn dispatch_agrees_with_both_implementations_across_corpus() {
             );
             let cell = trilinear_cell(dims, p).unwrap();
             let scalar = interpolate_cell_scalar(&grid, &cell);
-            let lanes = interpolate_cell_lanes(&grid, &cell);
-            let dispatched = spnerf_render::interp::interpolate_cell(&grid, &cell);
+            let lanes = interpolate_cell(&grid, &cell);
             assert_samples_bitwise(&scalar, &lanes, &format!("{} probe {i}", spec.label()));
-            assert_samples_bitwise(&scalar, &dispatched, &format!("dispatch, probe {i}"));
         }
     }
 }

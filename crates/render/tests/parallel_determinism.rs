@@ -1,9 +1,7 @@
 //! Property tests for the tile-parallel render engine's determinism
 //! guarantee: for random scenes, image sizes, tile sizes, thread counts,
 //! and ray-packet sizes, the parallel image and stats are exactly equal to
-//! the serial reference. Under `--features simd` the same properties pin
-//! the lane kernels: a feature-flagged build must render the identical
-//! image (CI runs this file in both configurations).
+//! the serial reference.
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;

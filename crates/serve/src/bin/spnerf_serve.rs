@@ -10,8 +10,8 @@
 //! Stdout is **exactly one JSON document** (the schema-versioned report,
 //! self-validated before printing); the human-readable summary goes to
 //! stderr. Byte-diffing two stdout captures is the supported way to check
-//! determinism — CI does exactly that across seeds, render worker counts
-//! and the `simd` feature.
+//! determinism — CI does exactly that across seeds and render worker
+//! counts.
 //!
 //! `--replay FILE` serves a recorded trace (see
 //! `spnerf_serve::traffic::Trace::to_replay`) instead of synthesizing

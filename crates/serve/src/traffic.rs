@@ -27,8 +27,9 @@
 //! of `seq`, never an RNG draw, so the still fields of a synthesized trace
 //! are byte-identical to what the same seed produced before trajectory
 //! requests existed. In the replay format a trajectory request carries its
-//! frame count as an optional 5th field; plain 4-field rows stay stills,
-//! so v1 replay files written before the field existed parse unchanged.
+//! frame count (2 to [`MAX_REPLAY_FRAMES`]) as an optional 5th field; plain
+//! 4-field rows stay stills, so v1 replay files written before the field
+//! existed parse unchanged.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,6 +42,14 @@ pub const TRAJECTORY_EVERY: u64 = 5;
 
 /// Frame count of synthesized trajectory requests.
 pub const TRAJECTORY_FRAMES: usize = 4;
+
+/// Largest trajectory frame count a replay row may carry.
+///
+/// A trajectory request renders (and charges service ticks for) every
+/// frame, so the replay's 5th field sizes a render loop; an unbounded count
+/// lets a one-line trace stall the service. 64 frames is 16x the
+/// synthesized [`TRAJECTORY_FRAMES`].
+pub const MAX_REPLAY_FRAMES: usize = 64;
 
 /// What a request asks the engine to render.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -298,14 +307,20 @@ impl Trace {
             // unchanged.
             let kind = match fields.get(4) {
                 None => RequestKind::Still,
-                Some(f) => match int(f, "frame count")? as usize {
-                    frames if frames >= 2 => RequestKind::Trajectory { frames },
-                    frames => {
+                Some(f) => match int(f, "frame count")? {
+                    frames if frames < 2 => {
                         return Err(format!(
                             "line {lineno}: a trajectory needs at least 2 frames, got {frames} \
                              (drop the field for a still)"
                         ))
                     }
+                    frames if frames > MAX_REPLAY_FRAMES as u64 => {
+                        return Err(format!(
+                            "line {lineno}: a trajectory may have at most \
+                             {MAX_REPLAY_FRAMES} frames, got {frames}"
+                        ))
+                    }
+                    frames => RequestKind::Trajectory { frames: frames as usize },
                 },
             };
             if tick < last_tick {
@@ -469,6 +484,31 @@ mod tests {
         let idle = Trace::parse_replay(&head).unwrap();
         assert!(idle.requests.is_empty());
         assert_eq!((idle.scenes, idle.tenants, idle.views), (2, 2, 2));
+    }
+
+    #[test]
+    fn frame_counts_above_the_bound_are_rejected_with_their_line() {
+        let head = format!("{REPLAY_HEADER}\nscenes 1 tenants 1 views 1\n");
+        let err = Trace::parse_replay(&format!("{head}0 0 0 0 100000\n")).unwrap_err();
+        assert!(err.starts_with("line 3: "), "error must name the row: {err}");
+        assert!(err.contains(&MAX_REPLAY_FRAMES.to_string()), "error must name the bound: {err}");
+        // Overflowing counts fail as malformed integers, never as a wrap.
+        assert!(Trace::parse_replay(&format!("{head}0 0 0 0 99999999999999999999\n")).is_err());
+        let at_bound = format!("{head}0 0 0 0 {MAX_REPLAY_FRAMES}\n");
+        let trace = Trace::parse_replay(&at_bound).expect("the bound itself is accepted");
+        assert_eq!(trace.requests[0].kind, RequestKind::Trajectory { frames: MAX_REPLAY_FRAMES });
+        let past = format!("{head}0 0 0 0\n1 0 0 0 {}\n", MAX_REPLAY_FRAMES + 1);
+        let err = Trace::parse_replay(&past).unwrap_err();
+        assert!(err.starts_with("line 4: "), "{err}");
+    }
+
+    #[test]
+    fn smoke_fixture_parses_unchanged() {
+        let text = include_str!("../tests/data/smoke.trace");
+        let trace = Trace::parse_replay(text).expect("the CI replay fixture parses");
+        assert_eq!(trace.to_replay(), text, "the fixture must round-trip byte for byte");
+        assert!(!trace.requests.is_empty());
+        assert!(trace.requests.iter().all(|r| r.kind.frames() <= MAX_REPLAY_FRAMES));
     }
 
     #[test]

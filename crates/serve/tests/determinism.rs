@@ -169,3 +169,23 @@ fn reports_never_echo_the_execution_environment() {
         assert!(!json.contains(leak), "report must not mention `{leak}`:\n{json}");
     }
 }
+
+#[test]
+fn oversized_trajectory_replay_exits_2_before_serving() {
+    // A one-line trace asking for a 100 000-frame trajectory must be
+    // rejected by the parser (line-numbered, exit 2), never rendered.
+    let path =
+        std::env::temp_dir().join(format!("spnerf_serve_oversized_{}.trace", std::process::id()));
+    std::fs::write(&path, "spnerf-serve-trace v1\nscenes 1 tenants 1 views 1\n0 0 0 0 100000\n")
+        .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_spnerf_serve"))
+        .args(["--quick", "--replay"])
+        .arg(&path)
+        .output()
+        .expect("spnerf_serve runs");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2), "oversized frame count must exit 2");
+    assert!(out.stdout.is_empty(), "no report may be printed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 3:"), "the error must name the row: {stderr}");
+}

@@ -75,6 +75,50 @@ impl Bitmap {
         }
     }
 
+    /// The 8 corner bits of the interpolation cell whose lower corner is
+    /// `base`: bit `k` is the bit of corner `k` in
+    /// [`GridCoord::cell_corners`] order, and corners outside the grid read
+    /// as zero (like [`Bitmap::get_clamped`]).
+    ///
+    /// This is the Bitmap Lookup Unit's view of a cell — one read tells
+    /// whether any of the 8 vertices can hold data. In-bounds cells index
+    /// the packed words directly from the base's linear index.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use spnerf_voxel::bitmap::Bitmap;
+    /// use spnerf_voxel::coord::{GridCoord, GridDims};
+    ///
+    /// let mut b = Bitmap::zeros(GridDims::cube(4));
+    /// b.set(GridCoord::new(2, 1, 1), true); // corner 1 of the cell at (1, 1, 1)
+    /// assert_eq!(b.cell_mask(GridCoord::new(1, 1, 1)), 0b0000_0010);
+    /// assert_eq!(b.cell_mask(GridCoord::new(0, 0, 0)), 0);
+    /// ```
+    pub fn cell_mask(&self, base: GridCoord) -> u8 {
+        let dims = self.dims;
+        if !dims.cell_in_bounds(base) {
+            return base
+                .cell_corners()
+                .iter()
+                .enumerate()
+                .fold(0, |m, (k, c)| m | (u8::from(self.get_clamped(*c)) << k));
+        }
+        // x-major strides; +z is the adjacent bit.
+        let sy = dims.nz as usize;
+        let sx = dims.ny as usize * sy;
+        let i = dims.linear_index_unchecked(base);
+        let bit = |j: usize| ((self.words[j / 64] >> (j % 64)) & 1) as u8;
+        bit(i)
+            | bit(i + sx) << 1
+            | bit(i + sy) << 2
+            | bit(i + sx + sy) << 3
+            | bit(i + 1) << 4
+            | bit(i + sx + 1) << 5
+            | bit(i + sy + 1) << 6
+            | bit(i + sx + sy + 1) << 7
+    }
+
     /// Sets the bit at coordinate `c`.
     ///
     /// # Panics
@@ -144,6 +188,34 @@ impl Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cell_mask_matches_per_corner_reads() {
+        let dims = GridDims::new(5, 4, 3);
+        let mut b = Bitmap::zeros(dims);
+        for (i, c) in dims.iter().enumerate() {
+            if (i * 7 + i / 3) % 5 < 2 {
+                b.set(c, true);
+            }
+        }
+        // Every base, including the last layer on each axis, whose cells
+        // reach outside the grid and must read those corners as zero.
+        for base in dims.iter() {
+            let expect = base
+                .cell_corners()
+                .iter()
+                .enumerate()
+                .fold(0u8, |m, (k, c)| m | (u8::from(b.get_clamped(*c)) << k));
+            assert_eq!(b.cell_mask(base), expect, "cell at {base}");
+        }
+        let full = {
+            let mut f = Bitmap::zeros(dims);
+            dims.iter().for_each(|c| f.set(c, true));
+            f
+        };
+        assert_eq!(full.cell_mask(GridCoord::new(1, 1, 1)), 0xFF);
+        assert_eq!(full.cell_mask(GridCoord::new(4, 3, 2)), 0b0000_0001);
+    }
 
     #[test]
     fn set_get_round_trip() {
