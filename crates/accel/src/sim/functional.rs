@@ -205,7 +205,7 @@ impl<'a> FunctionalPipeline<'a> {
 mod tests {
     use super::*;
     use spnerf_core::SpNerfConfig;
-    use spnerf_render::renderer::render_view;
+    use spnerf_render::renderer::{render_view, Shader};
     use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
     use spnerf_voxel::vqrf::{VqrfConfig, VqrfModel};
 
@@ -231,7 +231,7 @@ mod tests {
         let cfg = RenderConfig { samples_per_ray: 40, ..Default::default() };
 
         let view = model.view(MaskMode::Masked);
-        let (sw, _) = render_view(&view, &mlp, &cam, &scene_aabb(), &cfg);
+        let (sw, _) = render_view(&view, Shader::PerSample(&mlp), &cam, &scene_aabb(), &cfg);
 
         let mut hw_pipe = FunctionalPipeline::new(&model, &mlp, SystolicArray::new(8, 8), 16);
         let hw = hw_pipe.render(&cam, &scene_aabb(), &cfg);

@@ -9,7 +9,7 @@ use spnerf_accel::sim::pipeline::{simulate_frame, ArchConfig, CycleSimulator};
 use spnerf_core::preprocess::build_tables;
 use spnerf_core::{MaskMode, SpNerfConfig, SpNerfModel};
 use spnerf_render::mlp::Mlp;
-use spnerf_render::renderer::{render_view, RenderConfig};
+use spnerf_render::renderer::{render_view, RenderConfig, Shader};
 use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf_voxel::vqrf::{VqrfConfig, VqrfModel};
 
@@ -45,20 +45,21 @@ fn bench_preprocess(c: &mut Criterion) {
 fn bench_render_paths(c: &mut Criterion) {
     let f = fixture();
     let mlp = Mlp::random(42);
+    let shader = Shader::PerSample(&mlp);
     let cam = default_camera(16, 16, 0, 8);
     let cfg = RenderConfig { samples_per_ray: 48, ..Default::default() };
     let mut g = c.benchmark_group("render_16x16");
     g.sample_size(10);
     g.bench_function("vqrf_gold", |b| {
-        b.iter(|| render_view(black_box(&f.vqrf), &mlp, &cam, &scene_aabb(), &cfg))
+        b.iter(|| render_view(black_box(&f.vqrf), shader, &cam, &scene_aabb(), &cfg))
     });
     let masked = f.model.view(MaskMode::Masked);
     g.bench_function("spnerf_masked", |b| {
-        b.iter(|| render_view(black_box(&masked), &mlp, &cam, &scene_aabb(), &cfg))
+        b.iter(|| render_view(black_box(&masked), shader, &cam, &scene_aabb(), &cfg))
     });
     let unmasked = f.model.view(MaskMode::Unmasked);
     g.bench_function("spnerf_unmasked", |b| {
-        b.iter(|| render_view(black_box(&unmasked), &mlp, &cam, &scene_aabb(), &cfg))
+        b.iter(|| render_view(black_box(&unmasked), shader, &cam, &scene_aabb(), &cfg))
     });
     g.finish();
 }

@@ -16,7 +16,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use spnerf::pipeline::RenderSource;
-use spnerf::render::renderer::{render_view, RenderConfig, SkipMode};
+use spnerf::render::renderer::{render_view, RenderConfig, Shader, SkipMode};
 use spnerf::render::scene::{default_camera, scene_aabb};
 use spnerf::render::source::WithOccupancy;
 use spnerf_testkit::conformance::{scene_for, ConformanceConfig};
@@ -34,16 +34,15 @@ fn bench_skip_modes(c: &mut Criterion) {
         let scene = scene_for(&spec, &cfg);
         let render_cfg = RenderConfig { samples_per_ray: 64, ..scene.render_config() };
         let view = scene.model().masked();
+        let shader = Shader::PerSample(scene.mlp());
         g.bench_function(&format!("{}_off", spec.archetype.name()), |b| {
-            b.iter(|| render_view(black_box(&view), scene.mlp(), &cam, &scene_aabb(), &render_cfg))
+            b.iter(|| render_view(black_box(&view), shader, &cam, &scene_aabb(), &render_cfg))
         });
         let mip = scene.occupancy_mip(RenderSource::spnerf_masked());
         let skippable = WithOccupancy::new(&view, mip);
         let skip_cfg = RenderConfig { skip_mode: SkipMode::mip(), ..render_cfg };
         g.bench_function(&format!("{}_mip", spec.archetype.name()), |b| {
-            b.iter(|| {
-                render_view(black_box(&skippable), scene.mlp(), &cam, &scene_aabb(), &skip_cfg)
-            })
+            b.iter(|| render_view(black_box(&skippable), shader, &cam, &scene_aabb(), &skip_cfg))
         });
     }
     g.finish();

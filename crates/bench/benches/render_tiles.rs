@@ -14,7 +14,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use spnerf_render::mlp::Mlp;
-use spnerf_render::renderer::{render_view, RenderConfig};
+use spnerf_render::renderer::{render_view, RenderConfig, Shader};
 use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 
 const IMAGE_SIDE: u32 = 128;
@@ -22,6 +22,7 @@ const IMAGE_SIDE: u32 = 128;
 fn bench_thread_scaling(c: &mut Criterion) {
     let grid = build_grid(SceneId::Lego, 48);
     let mlp = Mlp::random(42);
+    let shader = Shader::PerSample(&mlp);
     let cam = default_camera(IMAGE_SIDE, IMAGE_SIDE, 0, 8);
     let mut g = c.benchmark_group("render_tiles_128x128");
     g.sample_size(10);
@@ -29,7 +30,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         let cfg = RenderConfig { samples_per_ray: 32, parallelism: threads, ..Default::default() };
         g.bench_function(&format!("threads_{threads}"), |b| {
-            b.iter(|| render_view(black_box(&grid), &mlp, &cam, &scene_aabb(), &cfg))
+            b.iter(|| render_view(black_box(&grid), shader, &cam, &scene_aabb(), &cfg))
         });
     }
     g.finish();
@@ -38,6 +39,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
 fn bench_tile_sizes(c: &mut Criterion) {
     let grid = build_grid(SceneId::Lego, 48);
     let mlp = Mlp::random(42);
+    let shader = Shader::PerSample(&mlp);
     let cam = default_camera(IMAGE_SIDE, IMAGE_SIDE, 0, 8);
     let mut g = c.benchmark_group("render_tiles_tile_size");
     g.sample_size(10);
@@ -46,7 +48,7 @@ fn bench_tile_sizes(c: &mut Criterion) {
         let cfg =
             RenderConfig { samples_per_ray: 32, parallelism: 4, tile_size, ..Default::default() };
         g.bench_function(&format!("4_threads_tile_{tile_size}"), |b| {
-            b.iter(|| render_view(black_box(&grid), &mlp, &cam, &scene_aabb(), &cfg))
+            b.iter(|| render_view(black_box(&grid), shader, &cam, &scene_aabb(), &cfg))
         });
     }
     g.finish();

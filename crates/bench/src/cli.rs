@@ -8,9 +8,10 @@
 //!
 //! [`parse`] is the pure, testable core; [`parse_or_exit`] is the binary
 //! entry point that prints usage / errors and applies the `SPNERF_THREADS`
-//! environment fallback.
+//! environment fallback. [`take_threads`] is the one owner of the
+//! `--threads` / `SPNERF_THREADS` grammar: both of the above and the
+//! facade's positional examples go through it.
 
-use spnerf::render::engine::THREADS_ENV_VAR;
 use spnerf::render::renderer::SkipMode;
 use spnerf::render::temporal::{ReuseMode, TrajectorySpec};
 use spnerf::voxel::sparse::{FormatKind, FormatSelection};
@@ -93,10 +94,6 @@ pub struct HarnessArgs {
     /// the cycles derived from them) through the occupancy pyramid,
     /// `mip:N` caps the coarsest pyramid level consulted at `N`.
     pub skip_mode: SkipMode,
-    /// `--packet-size N` / `--packet-size=N`: rays marched in lockstep per
-    /// packet by the tile engine (`None` keeps the preset default of 1).
-    /// Outputs are bitwise-identical at every packet size.
-    pub packet_size: Option<usize>,
     /// `--source spnerf|baked`: the primary data path measurements flow
     /// from. `baked` renders the baked grid with the deferred per-pixel
     /// MLP, collapsing the workload's MLP column from samples to pixels.
@@ -177,15 +174,24 @@ pub enum ArgError {
     UnknownFlag(String),
     /// A bare positional argument (the harnesses take none).
     UnexpectedPositional(String),
-    /// `--threads` / `--skip-mode` / `--packet-size` / `--source` without a
-    /// value.
+    /// `--threads` / `--skip-mode` / `--source` (or any other valued flag)
+    /// without a value.
     MissingValue(&'static str),
     /// A flag value that failed to parse.
     BadValue {
-        /// The flag the value belonged to.
+        /// The flag (or environment variable) the value belonged to.
         flag: &'static str,
         /// The offending token.
         value: String,
+    },
+    /// A well-formed count above the limit its consumer can size work for.
+    TooLarge {
+        /// The flag the value belonged to.
+        flag: &'static str,
+        /// The offending value.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
     },
 }
 
@@ -198,6 +204,9 @@ impl std::fmt::Display for ArgError {
             ArgError::BadValue { flag, value } => {
                 write!(f, "{flag}: invalid value `{value}`")
             }
+            ArgError::TooLarge { flag, value, max } => {
+                write!(f, "{flag}: {value} is above the limit of {max}")
+            }
         }
     }
 }
@@ -207,7 +216,7 @@ impl std::error::Error for ArgError {}
 /// The usage text every harness binary prints for `--help` and on errors.
 pub fn usage(bin: &str) -> String {
     format!(
-        "usage: {bin} [--quick] [--threads N] [--corpus] [--skip-mode MODE] [--packet-size N] [--source MODE]\n\
+        "usage: {bin} [--quick] [--threads N] [--corpus] [--skip-mode MODE] [--source MODE]\n\
          \x20          [--sparse-format F] [--seed N] [--duration-ticks N] [--cache-bytes N] [--replay FILE]\n\
          \x20          [--zipf-s S] [--trajectory PATH] [--reuse-mode MODE] [--help]\n\
          \n\
@@ -218,8 +227,6 @@ pub fn usage(bin: &str) -> String {
          \x20                    (scene-sweeping binaries only)\n\
          \x20 --skip-mode MODE   empty-space skipping: off (default), mip, or mip:N to cap the\n\
          \x20                    coarsest pyramid level at N; images are identical in every mode\n\
-         \x20 --packet-size N    rays marched in lockstep per packet by the tile engine\n\
-         \x20                    (default 1; images are identical at every packet size)\n\
          \x20 --source MODE      primary data path: spnerf (default) or baked — the bake-and-defer\n\
          \x20                    path whose small view MLP runs once per pixel, not per sample\n\
          \x20 --sparse-format F  sparse occupancy-index encoding: auto (default), bitmap, coo,\n\
@@ -236,8 +243,46 @@ pub fn usage(bin: &str) -> String {
          \x20                    default measures both and reports the amortization ratio)\n\
          \x20 -h, --help         print this help\n\
          \n\
-         Outputs are bitwise-identical at every thread count, skip mode, and packet size."
+         Outputs are bitwise-identical at every thread count and skip mode."
     )
+}
+
+/// Environment variable that sets the render worker count when no
+/// `--threads` flag is given.
+pub const THREADS_ENV_VAR: &str = "SPNERF_THREADS";
+
+/// Removes every `--threads N` / `--threads=N` token from `args` and returns
+/// the render worker count they set (`0` = all cores; the last flag wins,
+/// like every flag on the surface). Without a flag, falls back to `env`,
+/// the value of [`THREADS_ENV_VAR`] — passed in, so the grammar stays pure.
+///
+/// # Errors
+///
+/// [`ArgError::MissingValue`] for a trailing `--threads`, and
+/// [`ArgError::BadValue`] naming the flag or the variable for a value that
+/// is not a non-negative integer.
+pub fn take_threads(args: &mut Vec<String>, env: Option<&str>) -> Result<Option<usize>, ArgError> {
+    let count = |flag: &'static str, v: &str| {
+        v.parse::<usize>().map_err(|_| ArgError::BadValue { flag, value: v.to_string() })
+    };
+    let mut threads = None;
+    let mut i = 0;
+    while i < args.len() {
+        if args[i] == "--threads" {
+            let v = args.get(i + 1).ok_or(ArgError::MissingValue("--threads"))?;
+            threads = Some(count("--threads", v)?);
+            args.drain(i..i + 2);
+        } else if let Some(v) = args[i].strip_prefix("--threads=") {
+            threads = Some(count("--threads", v)?);
+            args.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    match (threads, env) {
+        (None, Some(v)) => count(THREADS_ENV_VAR, v).map(Some),
+        _ => Ok(threads),
+    }
 }
 
 /// Parses harness arguments (without the leading program name), rejecting
@@ -249,18 +294,6 @@ pub fn usage(bin: &str) -> String {
 /// Returns [`ArgError`] for unknown flags, positionals, and missing or
 /// malformed `--threads` values.
 pub fn parse(args: &[String]) -> Result<HarnessArgs, ArgError> {
-    let parse_threads = |v: &str| {
-        v.parse::<usize>()
-            .map_err(|_| ArgError::BadValue { flag: "--threads", value: v.to_string() })
-    };
-    let parse_packet = |v: &str| {
-        // `0` would silently alias the default (the engine treats it as 1),
-        // so the strict surface rejects it outright.
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(ArgError::BadValue { flag: "--packet-size", value: v.to_string() }),
-        }
-    };
     let parse_source = |v: &str| match v {
         "spnerf" => Ok(SourceMode::SpNerf),
         "baked" => Ok(SourceMode::Baked),
@@ -311,11 +344,8 @@ pub fn parse(args: &[String]) -> Result<HarnessArgs, ArgError> {
             .map(|levels| SkipMode::Mip { levels })
             .ok_or(ArgError::BadValue { flag: "--skip-mode", value: v.to_string() }),
     };
-    // The `--threads N` / `--threads=N` token forms mirror
-    // `spnerf::render::engine::take_threads_args` (the lenient parser the
-    // positional examples use); `threads_flag_forms_match_the_engine_parser`
-    // below pins the two surfaces together.
-    let mut out = HarnessArgs::default();
+    let mut args = args.to_vec();
+    let mut out = HarnessArgs { threads: take_threads(&mut args, None)?, ..Default::default() };
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
@@ -323,14 +353,6 @@ pub fn parse(args: &[String]) -> Result<HarnessArgs, ArgError> {
             "--quick" => out.quick = true,
             "--corpus" => out.corpus = true,
             "--help" | "-h" => out.help = true,
-            "--threads" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--threads"))?;
-                out.threads = Some(parse_threads(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--threads=") => {
-                out.threads = Some(parse_threads(&a["--threads=".len()..])?);
-            }
             "--skip-mode" => {
                 let v = args.get(i + 1).ok_or(ArgError::MissingValue("--skip-mode"))?;
                 out.skip_mode = parse_skip(v)?;
@@ -338,14 +360,6 @@ pub fn parse(args: &[String]) -> Result<HarnessArgs, ArgError> {
             }
             _ if a.starts_with("--skip-mode=") => {
                 out.skip_mode = parse_skip(&a["--skip-mode=".len()..])?;
-            }
-            "--packet-size" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--packet-size"))?;
-                out.packet_size = Some(parse_packet(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--packet-size=") => {
-                out.packet_size = Some(parse_packet(&a["--packet-size=".len()..])?);
             }
             "--source" => {
                 let v = args.get(i + 1).ok_or(ArgError::MissingValue("--source"))?;
@@ -432,16 +446,19 @@ pub fn parse(args: &[String]) -> Result<HarnessArgs, ArgError> {
 }
 
 /// Parses the process arguments strictly. `--help` prints usage and exits 0;
-/// a parse error prints the error plus usage to stderr and exits 2. When no
-/// `--threads` flag is given, falls back to the `SPNERF_THREADS` environment
-/// variable.
+/// a parse error — a malformed `SPNERF_THREADS` included — prints the error
+/// plus usage to stderr and exits 2. When no `--threads` flag is given,
+/// falls back to the `SPNERF_THREADS` environment variable.
 pub fn parse_or_exit() -> HarnessArgs {
-    let argv: Vec<String> = std::env::args().collect();
+    let mut argv: Vec<String> = std::env::args().collect();
     let bin = argv
         .first()
         .map(|p| p.rsplit(['/', '\\']).next().unwrap_or(p).to_string())
         .unwrap_or_else(|| "harness".to_string());
-    let mut parsed = match parse(&argv[1..]) {
+    let env = std::env::var(THREADS_ENV_VAR).ok();
+    let parsed = take_threads(&mut argv, env.as_deref())
+        .and_then(|threads| Ok(HarnessArgs { threads, ..parse(&argv[1..])? }));
+    let parsed = match parsed {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{bin}: {e}\n\n{}", usage(&bin));
@@ -451,22 +468,6 @@ pub fn parse_or_exit() -> HarnessArgs {
     if parsed.help {
         println!("{}", usage(&bin));
         std::process::exit(0);
-    }
-    if parsed.threads.is_none() {
-        if let Ok(v) = std::env::var(THREADS_ENV_VAR) {
-            match v.parse::<usize>() {
-                Ok(n) => parsed.threads = Some(n),
-                Err(_) => {
-                    // Same strict contract as the flags: a malformed env
-                    // var exits 2 with usage, never a panic.
-                    eprintln!(
-                        "{bin}: {THREADS_ENV_VAR}: expected a thread count, got `{v}`\n\n{}",
-                        usage(&bin)
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
     }
     parsed
 }
@@ -520,22 +521,6 @@ mod tests {
             assert_eq!(
                 parse(&args(&["--skip-mode", bad])),
                 Err(ArgError::BadValue { flag: "--skip-mode", value: bad.to_string() }),
-                "`{bad}` must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn packet_size_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().packet_size, None);
-        assert_eq!(parse(&args(&["--packet-size", "4"])).unwrap().packet_size, Some(4));
-        assert_eq!(parse(&args(&["--packet-size=16"])).unwrap().packet_size, Some(16));
-        assert_eq!(parse(&args(&["--packet-size", "1"])).unwrap().packet_size, Some(1));
-        assert_eq!(parse(&args(&["--packet-size"])), Err(ArgError::MissingValue("--packet-size")));
-        for bad in ["0", "-1", "four", ""] {
-            assert_eq!(
-                parse(&args(&["--packet-size", bad])),
-                Err(ArgError::BadValue { flag: "--packet-size", value: bad.to_string() }),
                 "`{bad}` must be rejected"
             );
         }
@@ -746,16 +731,46 @@ mod tests {
         );
     }
 
+    /// Runs [`take_threads`] on `toks`, returning the count and the
+    /// tokens it left behind.
+    fn take(toks: &[&str], env: Option<&str>) -> Result<(Option<usize>, Vec<String>), ArgError> {
+        let mut a = args(toks);
+        take_threads(&mut a, env).map(|threads| (threads, a))
+    }
+
     #[test]
-    fn threads_flag_forms_match_the_engine_parser() {
-        // Both `--threads` surfaces must accept the same well-formed token
-        // shapes and agree on the value, so the strict bins and the lenient
-        // positional examples can never drift apart.
-        for toks in [&["--threads", "4"][..], &["--threads=7"][..]] {
-            let strict = parse(&args(toks)).expect("cli parser accepts").threads;
-            let lenient = spnerf::render::engine::threads_from_args_or_env(&args(toks));
-            assert_eq!(strict, lenient, "token forms {toks:?} must agree");
-        }
+    fn take_threads_strips_flag_tokens() {
+        // Both token forms, stripped wherever they appear; the last wins.
+        assert_eq!(
+            take(&["lego", "--threads", "4", "48", "--threads=7", "64"], None),
+            Ok((Some(7), args(&["lego", "48", "64"])))
+        );
+        assert_eq!(take(&["--quick"], None), Ok((None, args(&["--quick"]))));
+    }
+
+    #[test]
+    fn threads_flag_parsing() {
+        assert_eq!(take(&["--quick", "--threads", "4"], None), Ok((Some(4), args(&["--quick"]))));
+        assert_eq!(take(&["--threads=2"], None), Ok((Some(2), args(&[]))));
+        // The environment fills in only when no flag is given.
+        assert_eq!(take(&["lego"], Some("3")), Ok((Some(3), args(&["lego"]))));
+        assert_eq!(take(&["--threads=0"], Some("3")), Ok((Some(0), args(&[]))));
+        assert_eq!(take(&["--threads=2"], Some("x")), Ok((Some(2), args(&[]))));
+        // `render_scene lego 16 8 --threads x` and `SPNERF_THREADS=x
+        // render_scene ...` are typed errors (exit 2), never a panic.
+        assert_eq!(
+            take(&["lego", "16", "8", "--threads", "x"], None),
+            Err(ArgError::BadValue { flag: "--threads", value: "x".to_string() })
+        );
+        assert_eq!(
+            take(&["lego", "16", "8"], Some("x")),
+            Err(ArgError::BadValue { flag: THREADS_ENV_VAR, value: "x".to_string() })
+        );
+        assert_eq!(take(&["lego", "--threads"], None), Err(ArgError::MissingValue("--threads")));
+        assert_eq!(
+            take(&["--threads=-1"], None),
+            Err(ArgError::BadValue { flag: "--threads", value: "-1".to_string() })
+        );
     }
 
     #[test]
@@ -764,7 +779,6 @@ mod tests {
         assert!(u.contains("--quick") && u.contains("--threads") && u.contains(THREADS_ENV_VAR));
         assert!(u.contains("--corpus"));
         assert!(u.contains("--skip-mode") && u.contains("mip:N"));
-        assert!(u.contains("--packet-size"));
         assert!(u.contains("--source") && u.contains("baked"));
         assert!(u.contains("--sparse-format") && u.contains("rank"));
         for serve in ["--seed", "--duration-ticks", "--cache-bytes", "--replay", "--zipf-s"] {
@@ -774,5 +788,7 @@ mod tests {
         assert!(u.contains("--reuse-mode") && u.contains("warp"));
         assert!(ArgError::UnknownFlag("--x".into()).to_string().contains("--x"));
         assert!(ArgError::MissingValue("--threads").to_string().contains("--threads"));
+        let too_large = ArgError::TooLarge { flag: "--duration-ticks", value: 9, max: 8 };
+        assert_eq!(too_large.to_string(), "--duration-ticks: 9 is above the limit of 8");
     }
 }

@@ -1,6 +1,8 @@
-//! Tile-parallel render engine: a [`TileScheduler`] that partitions the
-//! image into rectangular tiles and a scoped worker pool that traces them
-//! concurrently.
+//! The render engine's scheduling layer: a [`TileScheduler`] that
+//! partitions the image into rectangular tiles, and the one scoped worker
+//! pool that runs per-item render work concurrently — tiles for
+//! [`crate::renderer::render_view`], re-march chunks for
+//! [`crate::temporal`].
 //!
 //! This mirrors how the accelerator literature scales the workload —
 //! Potamoi streams rays through independently scheduled chunks and RT-NeRF
@@ -11,44 +13,33 @@
 //! # Determinism guarantee
 //!
 //! Primary rays are independent and [`crate::renderer::trace_ray`] is pure,
-//! so parallelism cannot change any pixel. Workers pull tiles from an
-//! atomic counter (dynamic load balancing), but results are written back
-//! and [`RenderStats`] are merged **in tile index order** on the calling
-//! thread; the produced [`ImageBuffer`] and stats are therefore
-//! bitwise-identical to [`crate::renderer::render_view_serial`] for every
-//! tile size and thread count, including `parallelism: 0` (all cores).
+//! so parallelism cannot change any pixel. Workers pull items from an
+//! atomic counter (dynamic load balancing), but results are handed back
+//! **in item index order**; [`crate::renderer::render_view`] merges tiles
+//! in that order, so its image and stats are bitwise-identical to
+//! [`crate::renderer::render_view_serial`] for every tile size and thread
+//! count, including `parallelism: 0` (all cores).
 //!
 //! # Example
 //!
 //! ```
 //! use spnerf_render::mlp::Mlp;
-//! use spnerf_render::renderer::{render_view, render_view_serial, RenderConfig};
+//! use spnerf_render::renderer::{render_view, render_view_serial, RenderConfig, Shader};
 //! use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 //!
 //! let grid = build_grid(SceneId::Lego, 24);
 //! let mlp = Mlp::random(0);
+//! let shader = Shader::PerSample(&mlp);
 //! let camera = default_camera(16, 16, 0, 8);
 //! let cfg = RenderConfig { samples_per_ray: 32, parallelism: 4, tile_size: 8, ..Default::default() };
-//! let parallel = render_view(&grid, &mlp, &camera, &scene_aabb(), &cfg);
-//! let serial = render_view_serial(&grid, &mlp, &camera, &scene_aabb(), &cfg);
+//! let parallel = render_view(&grid, shader, &camera, &scene_aabb(), &cfg);
+//! let serial = render_view_serial(&grid, shader, &camera, &scene_aabb(), &cfg);
 //! assert_eq!(parallel, serial);
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::camera::PinholeCamera;
-use crate::image::ImageBuffer;
-use crate::mlp::{Mlp, MlpScratch};
-use crate::ray::{Aabb, Ray};
-use crate::renderer::{
-    trace_packet_shaded, trace_ray_shaded, RenderConfig, RenderFrame, RenderStats, Shader,
-};
-use crate::source::VoxelSource;
-use crate::vec3::Vec3;
-
-/// Environment variable consulted by [`threads_from_args_or_env`] when no
-/// `--threads` flag is given.
-pub const THREADS_ENV_VAR: &str = "SPNERF_THREADS";
+use crate::mlp::MlpScratch;
 
 /// A rectangular region of the output image (pixel coordinates, inclusive
 /// origin, exclusive extent).
@@ -142,9 +133,9 @@ impl TileScheduler {
     }
 }
 
-/// Resolves a [`RenderConfig::parallelism`] value to a concrete worker
-/// count: `0` maps to the host's available parallelism (at least 1), any
-/// other value is taken as-is.
+/// Resolves a [`crate::renderer::RenderConfig::parallelism`] value to a
+/// concrete worker count: `0` maps to the host's available parallelism (at
+/// least 1), any other value is taken as-is.
 pub fn resolve_parallelism(parallelism: usize) -> usize {
     if parallelism == 0 {
         std::thread::available_parallelism().map(usize::from).unwrap_or(1)
@@ -153,195 +144,56 @@ pub fn resolve_parallelism(parallelism: usize) -> usize {
     }
 }
 
-/// Extracts a thread count from CLI arguments (`--threads N` or
-/// `--threads=N`), falling back to the `SPNERF_THREADS` environment
-/// variable. Returns `None` when neither is present; malformed values
-/// panic with a usage message rather than being silently ignored.
-pub fn threads_from_args_or_env(args: &[String]) -> Option<usize> {
-    let mut scratch = args.to_vec();
-    take_threads_args(&mut scratch)
-}
-
-/// Like [`threads_from_args_or_env`], but also removes the flag (and its
-/// value) from `args`, so callers with positional arguments can parse the
-/// remainder undisturbed. The first occurrence wins.
-pub fn take_threads_args(args: &mut Vec<String>) -> Option<usize> {
-    let parse = |v: &str, origin: &str| -> usize {
-        v.parse().unwrap_or_else(|_| panic!("{origin}: expected a thread count, got '{v}'"))
-    };
-    let mut found = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            let v = args.get(i + 1).unwrap_or_else(|| panic!("--threads requires a value"));
-            if found.is_none() {
-                found = Some(parse(v, "--threads"));
-            }
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--threads=") {
-            if found.is_none() {
-                found = Some(parse(v, "--threads"));
-            }
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    found.or_else(|| std::env::var(THREADS_ENV_VAR).ok().map(|v| parse(&v, THREADS_ENV_VAR)))
-}
-
-/// One rendered tile: pixel colors in the tile's row-major order plus the
-/// tile's aggregated statistics.
-struct TileOutput {
-    pixels: Vec<Vec3>,
-    stats: RenderStats,
-}
-
-/// Renders one tile serially on the calling thread.
+/// Runs `work(i, scratch)` for every item `i` in `0..n` and returns the
+/// results in index order.
 ///
-/// Rays are grouped into packets of [`RenderConfig::packet_size`] (in the
-/// tile's row-major pixel order) and marched in lockstep through
-/// [`trace_packet`], sharing one MLP scratch per tile; `packet_size ≤ 1`
-/// keeps the historical ray-at-a-time loop. Pixels and stats are
-/// bitwise-identical at every packet size.
-fn render_tile<S: VoxelSource + ?Sized>(
-    source: &S,
-    shader: Shader<'_>,
-    camera: &PinholeCamera,
-    frame: &RenderFrame,
-    cfg: &RenderConfig,
-    tile: Tile,
-) -> TileOutput {
-    let mut pixels = Vec::with_capacity(tile.pixel_count());
-    let mut stats = RenderStats::default();
-    let mut scratch = MlpScratch::new();
-    if cfg.packet_size <= 1 {
-        for (px, py) in tile.pixels() {
-            let ray = camera.ray_for_pixel(px, py);
-            let (color, ray_stats) =
-                trace_ray_shaded(source, shader, frame, ray, cfg, &mut scratch);
-            stats.record_ray(&ray_stats);
-            pixels.push(color);
-        }
-        return TileOutput { pixels, stats };
-    }
-    let coords: Vec<(u32, u32)> = tile.pixels().collect();
-    for chunk in coords.chunks(cfg.packet_size) {
-        let rays: Vec<Ray> = chunk.iter().map(|&(px, py)| camera.ray_for_pixel(px, py)).collect();
-        for (color, ray_stats) in
-            trace_packet_shaded(source, shader, frame, &rays, cfg, &mut scratch)
-        {
-            stats.record_ray(&ray_stats);
-            pixels.push(color);
-        }
-    }
-    TileOutput { pixels, stats }
-}
-
-/// Renders one view through the tile scheduler and worker pool, honoring
-/// [`RenderConfig::parallelism`] and [`RenderConfig::tile_size`].
-///
-/// This is the engine behind [`crate::renderer::render_view`]; see the
-/// module docs for the determinism guarantee.
+/// [`resolve_parallelism`]`(parallelism)` workers (at most one per item)
+/// race on an atomic item cursor, so a slow (dense) item never stalls the
+/// rest; each worker owns one [`MlpScratch`] for all of its items. One
+/// worker runs every item in order on the calling thread, without a spawn.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero, or if a
-/// worker thread panics.
-pub fn render_view_tiled<S: VoxelSource + Sync>(
-    source: &S,
-    mlp: &Mlp,
-    camera: &PinholeCamera,
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-) -> (ImageBuffer, RenderStats) {
-    render_view_tiled_shaded(source, Shader::PerSample(mlp), camera, aabb, cfg)
-}
-
-/// [`render_view_tiled`] generalized over the shading model — the engine
-/// behind [`crate::renderer::render_view_shaded`] and therefore the
-/// bake-and-defer render path. The determinism guarantee is unchanged:
-/// both [`Shader`] variants are pure per-ray computations, so images and
-/// stats are bitwise-identical to the serial reference at every thread
-/// count, tile size, and packet size.
-///
-/// # Panics
-///
-/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero, or if a
-/// worker thread panics.
-pub fn render_view_tiled_shaded<S: VoxelSource + Sync>(
-    source: &S,
-    shader: Shader<'_>,
-    camera: &PinholeCamera,
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-) -> (ImageBuffer, RenderStats) {
-    let sched = TileScheduler::new(camera.width, camera.height, cfg.tile_size);
-    let n_tiles = sched.tile_count();
-    let workers = resolve_parallelism(cfg.parallelism).clamp(1, n_tiles);
-    let frame = RenderFrame::new(source.dims(), aabb, cfg);
+/// Panics if a worker thread panics.
+pub(crate) fn parallel_map<T: Send>(
+    n: usize,
+    parallelism: usize,
+    work: impl Fn(usize, &mut MlpScratch) -> T + Sync,
+) -> Vec<T> {
+    let workers = resolve_parallelism(parallelism).clamp(1, n.max(1));
     if workers == 1 {
-        // One worker loops over the tiles in index order on the calling
-        // thread — the same per-tile packeting as the pool, without the
-        // thread or per-tile buffers (bitwise-identical by construction).
-        let mut img = ImageBuffer::new(camera.width, camera.height);
-        let mut stats = RenderStats::default();
-        for tile in sched.tiles() {
-            let out = render_tile(source, shader, camera, &frame, cfg, tile);
-            for ((px, py), color) in tile.pixels().zip(&out.pixels) {
-                img.set(px, py, *color);
-            }
-            stats += out.stats;
-        }
-        return (img, stats);
+        let mut scratch = MlpScratch::new();
+        return (0..n).map(|i| work(i, &mut scratch)).collect();
     }
-
-    // Dynamic scheduling: workers race on an atomic tile cursor, so a
-    // slow (dense) tile never stalls the rest of the frame.
     let next = AtomicUsize::new(0);
-    let rendered = std::thread::scope(|s| {
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
+                    let mut scratch = MlpScratch::new();
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_tiles {
+                        if i >= n {
                             break done;
                         }
-                        let out = render_tile(source, shader, camera, &frame, cfg, sched.tile(i));
-                        done.push((i, out));
+                        done.push((i, work(i, &mut scratch)));
                     }
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("render worker panicked"))
-            .collect::<Vec<_>>()
+        handles.into_iter().flat_map(|h| h.join().expect("render worker panicked")).collect()
     });
-    let mut outputs: Vec<Option<TileOutput>> = (0..n_tiles).map(|_| None).collect();
-    for (i, out) in rendered {
-        outputs[i] = Some(out);
-    }
-
-    // Merge in tile index order — the determinism anchor.
-    let mut img = ImageBuffer::new(camera.width, camera.height);
-    let mut stats = RenderStats::default();
-    for (tile, out) in sched.tiles().zip(outputs) {
-        let out = out.expect("every tile index was rendered exactly once");
-        for ((px, py), color) in tile.pixels().zip(&out.pixels) {
-            img.set(px, py, *color);
-        }
-        stats += out.stats;
-    }
-    (img, stats)
+    // Hand results back in index order — the determinism anchor.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::renderer::render_view_serial;
+    use crate::mlp::Mlp;
+    use crate::renderer::{render_view, render_view_serial, RenderConfig, Shader};
     use crate::scene::{build_grid, default_camera, scene_aabb, SceneId};
 
     #[test]
@@ -392,37 +244,28 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parsing() {
-        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from_args_or_env(&args(&["--quick", "--threads", "4"])), Some(4));
-        assert_eq!(threads_from_args_or_env(&args(&["--threads=2"])), Some(2));
-        // First occurrence wins.
-        assert_eq!(threads_from_args_or_env(&args(&["--threads", "3", "--threads=9"])), Some(3));
-        // The env fallback is deliberately not asserted here: it depends on
-        // the ambient SPNERF_THREADS, which the CI smoke jobs exercise.
-    }
-
-    #[test]
-    fn take_threads_args_strips_flag_tokens() {
-        let mut args: Vec<String> = ["prog", "lego", "--threads", "4", "48", "--threads=7", "64"]
-            .iter()
-            .map(|a| a.to_string())
-            .collect();
-        assert_eq!(take_threads_args(&mut args), Some(4));
-        assert_eq!(args, vec!["prog", "lego", "48", "64"]);
+    fn parallel_map_returns_results_in_index_order() {
+        // 0 items, fewer items than workers, and more items than workers,
+        // on the calling thread and on the pool.
+        for (n, threads) in [(0usize, 1usize), (0, 4), (3, 8), (37, 1), (37, 4), (37, 0)] {
+            let got = parallel_map(n, threads, |i, _| i * i);
+            let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+            assert_eq!(got, want, "n={n} threads={threads}");
+        }
     }
 
     #[test]
     fn engine_matches_serial_at_many_shapes() {
         let grid = build_grid(SceneId::Ficus, 24);
         let mlp = Mlp::random(3);
+        let shader = Shader::PerSample(&mlp);
         let base = RenderConfig { samples_per_ray: 24, ..Default::default() };
         for (w, h) in [(9u32, 7u32), (16, 16)] {
             let cam = default_camera(w, h, 0, 4);
-            let serial = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &base);
+            let serial = render_view_serial(&grid, shader, &cam, &scene_aabb(), &base);
             for (tile_size, threads) in [(1, 2), (3, 4), (32, 8), (4, 0)] {
                 let cfg = RenderConfig { tile_size, parallelism: threads, ..base };
-                let got = render_view_tiled(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+                let got = render_view(&grid, shader, &cam, &scene_aabb(), &cfg);
                 assert_eq!(got, serial, "{w}x{h} tile={tile_size} threads={threads}");
             }
         }

@@ -13,7 +13,7 @@
 use crate::camera::{orbit_poses, PinholeCamera};
 use crate::mlp::Mlp;
 use crate::ray::Aabb;
-use crate::renderer::{render_view, RenderConfig, RenderStats};
+use crate::renderer::{render_view, RenderConfig, RenderStats, Shader};
 use crate::source::VoxelSource;
 use crate::vec3::Vec3;
 
@@ -146,8 +146,8 @@ pub fn psnr_over_views<S: VoxelSource + Sync, R: VoxelSource + Sync>(
     let mut total_stats = RenderStats::default();
     let mut psnrs = Vec::with_capacity(cameras.len());
     for cam in cameras {
-        let (ref_img, _) = render_view(reference, mlp, cam, aabb, cfg);
-        let (img, stats) = render_view(source, mlp, cam, aabb, cfg);
+        let (ref_img, _) = render_view(reference, Shader::PerSample(mlp), cam, aabb, cfg);
+        let (img, stats) = render_view(source, Shader::PerSample(mlp), cam, aabb, cfg);
         total_stats += stats;
         psnrs.push(img.psnr(&ref_img));
     }

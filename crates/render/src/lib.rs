@@ -22,10 +22,10 @@
 //!   simulator, with hierarchical empty-space skipping
 //!   ([`renderer::SkipMode`] over a [`source::WithOccupancy`] source) that
 //!   drops marched samples without changing a single pixel,
-//! * [`engine`] — the tile-parallel render engine: a
+//! * [`engine`] — the render engine's scheduling layer: a
 //!   [`engine::TileScheduler`] partitions each view into rectangular tiles
-//!   and a scoped worker pool traces them concurrently over any
-//!   `VoxelSource + Sync`,
+//!   and one scoped worker pool traces them (or temporal re-march chunks)
+//!   concurrently over any `VoxelSource + Sync`,
 //! * [`temporal`] — deterministic camera trajectories (orbit, dolly,
 //!   handheld jitter) rendered as frame sequences with Cicero-style
 //!   forward-warp reuse: [`temporal::ReuseMode::Off`] stays
@@ -35,15 +35,17 @@
 //!
 //! # Render engine architecture
 //!
-//! Rendering is layered: [`renderer::trace_ray`] is the pure per-ray kernel
-//! (march → decode → interpolate → MLP → composite) over a read-only
-//! [`renderer::RenderFrame`]; the [`engine`] fans rays out across worker
-//! threads tile by tile; [`renderer::render_view`] is the front door that
-//! honors [`renderer::RenderConfig::parallelism`] (`0` = all cores) and
-//! [`renderer::RenderConfig::tile_size`]. Because rays are independent and
-//! tile results are merged back in deterministic tile order, the engine's
-//! images and stats are **bitwise-identical** to the serial reference
-//! ([`renderer::render_view_serial`]) at every thread count and tile size.
+//! The marcher has three entry points, all taking a [`renderer::Shader`]
+//! (per-sample MLP or bake-and-defer): [`renderer::trace_ray`] is the pure
+//! per-ray kernel (march → decode → interpolate → MLP → composite) over a
+//! read-only [`renderer::RenderFrame`]; [`renderer::render_view`] is the
+//! frame renderer that fans tiles out over the [`engine`]'s worker pool,
+//! honoring [`renderer::RenderConfig::parallelism`] (`0` = all cores) and
+//! [`renderer::RenderConfig::tile_size`]; [`renderer::render_view_serial`]
+//! is the single-threaded oracle. Because rays are independent and tile
+//! results are merged back in deterministic tile order, the renderer's
+//! images and stats are **bitwise-identical** to the oracle at every
+//! thread count and tile size.
 //!
 //! # Examples
 //!
@@ -51,14 +53,14 @@
 //!
 //! ```
 //! use spnerf_render::mlp::Mlp;
-//! use spnerf_render::renderer::{render_view, RenderConfig};
+//! use spnerf_render::renderer::{render_view, RenderConfig, Shader};
 //! use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 //!
 //! let grid = build_grid(SceneId::Lego, 24);
 //! let mlp = Mlp::random(0);
 //! let camera = default_camera(16, 16, 0, 8);
 //! let cfg = RenderConfig { samples_per_ray: 32, ..Default::default() };
-//! let (image, stats) = render_view(&grid, &mlp, &camera, &scene_aabb(), &cfg);
+//! let (image, stats) = render_view(&grid, Shader::PerSample(&mlp), &camera, &scene_aabb(), &cfg);
 //! assert_eq!(image.width(), 16);
 //! assert!(stats.samples_marched > 0);
 //! ```
@@ -85,15 +87,15 @@ pub mod vec3;
 
 pub use bake::bake;
 pub use camera::PinholeCamera;
-pub use engine::{resolve_parallelism, threads_from_args_or_env, Tile, TileScheduler};
+pub use engine::{resolve_parallelism, Tile, TileScheduler};
 pub use fp16::F16;
 pub use image::ImageBuffer;
 pub use lanes::F32x8;
 pub use mlp::{DeferredMlp, Mlp, MlpF16, MlpScratch};
 pub use ray::{Aabb, Ray};
 pub use renderer::{
-    render_view, render_view_serial, render_view_serial_shaded, render_view_shaded, trace_packet,
-    trace_ray, trace_ray_traced, RenderConfig, RenderStats, Shader, SkipCache, SkipMode, TracedRay,
+    render_view, render_view_serial, trace_ray, RenderConfig, RenderStats, Shader, SkipCache,
+    SkipMode, TracedRay,
 };
 pub use scene::SceneId;
 pub use source::{support_bitmap, VoxelData, VoxelSource, WithOccupancy};

@@ -12,22 +12,22 @@
 //!
 //! # Layering
 //!
-//! The renderer is split into three layers:
+//! The marcher has one front door per granularity, each taking a
+//! [`Shader`]:
 //!
 //! 1. [`trace_ray`] — the pure per-ray kernel: march, decode, shade,
 //!    composite one primary ray against a shared read-only [`RenderFrame`];
-//! 2. [`crate::engine`] — the tile scheduler and worker pool that fan rays
-//!    out over threads and merge results back deterministically;
-//! 3. [`render_view`] — the front door: renders one view honoring
-//!    [`RenderConfig::parallelism`] / [`RenderConfig::tile_size`].
-//!
-//! [`render_view_serial`] is the single-threaded row-major reference the
-//! parallel engine is tested against: for every scene and thread count the
-//! engine's image and stats are bitwise-identical to it.
+//! 2. [`render_view`] — the frame renderer: splits the view into tiles
+//!    ([`crate::engine::TileScheduler`]) and traces them on the engine's
+//!    worker pool, honoring [`RenderConfig::parallelism`] /
+//!    [`RenderConfig::tile_size`];
+//! 3. [`render_view_serial`] — the single-threaded row-major oracle the
+//!    frame renderer is tested against: for every scene and thread count the
+//!    renderer's image and stats are bitwise-identical to it.
 
 use crate::camera::PinholeCamera;
 use crate::composite::{accumulate_weighted, alpha_from_density, RayAccumulator};
-use crate::engine;
+use crate::engine::{parallel_map, TileScheduler};
 use crate::image::ImageBuffer;
 use crate::interp::{interpolate_cell, trilinear_cell, GridFrame, TrilinearCell};
 use crate::mlp::{
@@ -104,7 +104,7 @@ impl SkipMode {
 /// through the accelerator model.
 ///
 /// Both variants are pure per-ray computations, so every determinism
-/// guarantee (threads, tiles, packet sizes) holds for both.
+/// guarantee (threads, tiles, skip modes) holds for both.
 #[derive(Debug, Clone, Copy)]
 pub enum Shader<'a> {
     /// Evaluate the full color MLP on every shaded sample.
@@ -140,12 +140,6 @@ pub struct RenderConfig {
     /// mode; `Mip` drops [`RenderStats::samples_marched`] on sources that
     /// carry an occupancy pyramid.
     pub skip_mode: SkipMode,
-    /// Rays marched in lockstep per packet by the tile engine (`0` is
-    /// treated as `1`, the historical ray-at-a-time loop). Packeting
-    /// amortizes per-sample setup (shared MLP scratch) across the packet;
-    /// each ray keeps its own sampler, accumulator, and stats, so images
-    /// and stats are bitwise-identical at every packet size.
-    pub packet_size: usize,
 }
 
 impl Default for RenderConfig {
@@ -158,7 +152,6 @@ impl Default for RenderConfig {
             parallelism: 1,
             tile_size: 32,
             skip_mode: SkipMode::Off,
-            packet_size: 1,
         }
     }
 }
@@ -305,21 +298,21 @@ impl SkipCache {
     }
 }
 
-/// Everything [`trace_ray_traced`] learns about one primary ray: the
+/// Everything [`trace_ray`] learns about one primary ray: the
 /// composited color, the opacity-weighted mean march depth (world-space
 /// distance along the ray; `+∞` for rays that shaded nothing), the per-ray
 /// workload statistics, and the final empty-space cache handle for
 /// cross-frame carry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracedRay {
-    /// Composited pixel color (identical to [`trace_ray_shaded`]'s).
+    /// Composited pixel color.
     pub color: Vec3,
     /// Opacity-weighted mean depth of the shaded samples along the ray,
     /// in world units from the ray origin; `f32::INFINITY` when no sample
     /// shaded (pure background). This is the depth the temporal
     /// forward-warp reprojects radiance at.
     pub depth: f32,
-    /// Per-ray workload statistics (identical to [`trace_ray_shaded`]'s).
+    /// Per-ray workload statistics.
     pub stats: RayStats,
     /// The skipper's final cached empty region, reusable as the seed of a
     /// nearby ray in the next frame (see [`SkipCache`]).
@@ -442,10 +435,6 @@ impl<'a> EmptySkipper<'a> {
 /// buffer with the view-direction encoding pre-written (features are
 /// overwritten per shaded sample), the deferred specular-feature
 /// accumulator, and the optional empty-space skipper.
-///
-/// [`trace_ray`] and [`trace_packet`] both drive rays through
-/// [`RayState::step`], so the per-sample arithmetic — and therefore every
-/// pixel — is identical whether rays march alone or in a packet.
 struct RayState<'a> {
     acc: RayAccumulator,
     stats: RayStats,
@@ -464,7 +453,7 @@ struct RayState<'a> {
 }
 
 /// The immutable per-render context [`RayState::step`] reads: one copy per
-/// traced ray or packet, so stepping passes two references instead of five.
+/// traced ray, so stepping passes two references instead of five.
 #[derive(Clone, Copy)]
 struct StepCtx<'a> {
     shader: Shader<'a>,
@@ -474,14 +463,10 @@ struct StepCtx<'a> {
 }
 
 impl<'a> RayState<'a> {
-    fn new<S: VoxelSource + ?Sized>(source: &'a S, ray: &Ray, cfg: &RenderConfig) -> Self {
-        Self::with_cache(source, ray, cfg, SkipCache::EMPTY)
-    }
-
-    /// [`RayState::new`] with the skipper's empty-region cache pre-seeded
-    /// from a previous frame (a no-op without a skipper, and exactly
-    /// [`RayState::new`] for [`SkipCache::EMPTY`]).
-    fn with_cache<S: VoxelSource + ?Sized>(
+    /// Starts a ray with the skipper's empty-region cache seeded from
+    /// `seed` (a no-op without a skipper; [`SkipCache::EMPTY`] seeds
+    /// nothing).
+    fn new<S: VoxelSource + ?Sized>(
         source: &'a S,
         ray: &Ray,
         cfg: &RenderConfig,
@@ -572,12 +557,7 @@ impl<'a> RayState<'a> {
         false
     }
 
-    fn finish(self, ctx: &StepCtx<'_>) -> (Vec3, RayStats) {
-        let traced = self.finish_traced(ctx);
-        (traced.color, traced.stats)
-    }
-
-    fn finish_traced(mut self, ctx: &StepCtx<'_>) -> TracedRay {
+    fn finish(mut self, ctx: &StepCtx<'_>) -> TracedRay {
         let mut color = self.acc.finalize(ctx.cfg.background);
         if let Shader::Deferred(deferred) = ctx.shader {
             if self.stats.samples_shaded > 0 {
@@ -611,71 +591,31 @@ impl<'a> RayState<'a> {
 }
 
 /// Traces one primary ray: march the AABB, decode and interpolate each
-/// sample, shade positive-density samples through the MLP, and composite.
+/// sample, shade it per `shader`, and composite. The one per-ray kernel
+/// behind [`render_view`], [`render_view_serial`] and [`crate::temporal`].
+///
+/// * [`Shader::PerSample`] runs the color MLP on every positive-density
+///   sample; [`Shader::Deferred`] composites baked diffuse color,
+///   accumulates the baked specular feature, and pays one [`DeferredMlp`]
+///   evaluation in the epilogue ([`RayStats::pixels_shaded`]).
+/// * Under [`SkipMode::Mip`] (and a source carrying an occupancy pyramid)
+///   samples in provably-empty macro-blocks are skipped: they are counted
+///   in [`RayStats::samples_skipped`] instead of
+///   [`RayStats::samples_marched`], and the color is bitwise-identical to
+///   [`SkipMode::Off`].
+/// * `seed` is an empty-space cache carried from a previous frame
+///   ([`SkipCache::EMPTY`] for none). It only changes *how* a
+///   provably-empty sample is proven empty (cached range vs pyramid
+///   descent), never whether it is skipped, so color and stats are
+///   bitwise-identical for every seed.
+/// * `scratch` holds the MLP's hidden activations; every evaluation fully
+///   overwrites it, so sharing one across rays never changes a pixel.
 ///
 /// Pure in its inputs — no shared mutable state — which is what lets the
-/// tile engine run it from many threads with bitwise-reproducible output.
-///
-/// Under [`SkipMode::Mip`] (and a source carrying an occupancy pyramid)
-/// samples in provably-empty macro-blocks are skipped: they are counted in
-/// [`RayStats::samples_skipped`] instead of
-/// [`RayStats::samples_marched`], and the returned color is
-/// bitwise-identical to [`SkipMode::Off`].
+/// engine run it from many threads with bitwise-reproducible output. The
+/// opacity-weighted depth in [`TracedRay::depth`] is a side accumulation
+/// that never changes a composited pixel.
 pub fn trace_ray<S: VoxelSource + ?Sized>(
-    source: &S,
-    mlp: &Mlp,
-    frame: &RenderFrame,
-    ray: Ray,
-    cfg: &RenderConfig,
-) -> (Vec3, RayStats) {
-    trace_ray_with(source, mlp, frame, ray, cfg, &mut MlpScratch::new())
-}
-
-/// [`trace_ray`] reusing caller-owned MLP scratch, so a tile's rays share
-/// one pair of hidden-activation buffers. Output is bitwise-identical to
-/// [`trace_ray`]: the scratch is fully overwritten by every MLP evaluation.
-pub fn trace_ray_with<S: VoxelSource + ?Sized>(
-    source: &S,
-    mlp: &Mlp,
-    frame: &RenderFrame,
-    ray: Ray,
-    cfg: &RenderConfig,
-    scratch: &mut MlpScratch,
-) -> (Vec3, RayStats) {
-    trace_ray_shaded(source, Shader::PerSample(mlp), frame, ray, cfg, scratch)
-}
-
-/// [`trace_ray`] generalized over the shading model: the per-ray kernel
-/// behind both the per-sample and the bake-and-defer render paths.
-///
-/// With [`Shader::PerSample`] this is exactly [`trace_ray_with`]. With
-/// [`Shader::Deferred`] the march composites baked diffuse color,
-/// accumulates the baked specular feature, and pays one [`DeferredMlp`]
-/// evaluation in the epilogue ([`RayStats::pixels_shaded`]).
-pub fn trace_ray_shaded<S: VoxelSource + ?Sized>(
-    source: &S,
-    shader: Shader<'_>,
-    frame: &RenderFrame,
-    ray: Ray,
-    cfg: &RenderConfig,
-    scratch: &mut MlpScratch,
-) -> (Vec3, RayStats) {
-    let traced = trace_ray_traced(source, shader, frame, ray, cfg, scratch, SkipCache::EMPTY);
-    (traced.color, traced.stats)
-}
-
-/// [`trace_ray_shaded`] with full temporal instrumentation: additionally
-/// returns the opacity-weighted march depth and the final empty-space
-/// cache handle, and accepts a [`SkipCache`] seed carried over from a
-/// previous frame.
-///
-/// The color and stats are **bitwise-identical** to [`trace_ray_shaded`]
-/// for every seed: depth tracking is a pure side accumulation, and a seed
-/// only changes *how* a provably-empty sample is proven empty (cached
-/// range vs pyramid descent), never whether it is skipped — both proofs
-/// count into [`RayStats::samples_skipped`] identically. This is the
-/// per-ray kernel of [`crate::temporal`].
-pub fn trace_ray_traced<S: VoxelSource + ?Sized>(
     source: &S,
     shader: Shader<'_>,
     frame: &RenderFrame,
@@ -685,156 +625,73 @@ pub fn trace_ray_traced<S: VoxelSource + ?Sized>(
     seed: SkipCache,
 ) -> TracedRay {
     let ctx = StepCtx { shader, frame, cfg, dims: source.dims() };
-    let mut state = RayState::with_cache(source, &ray, cfg, seed);
+    let mut state = RayState::new(source, &ray, cfg, seed);
     for (t, pos) in UniformSampler::new(ray, &frame.aabb, frame.step) {
         if state.step(source, &ctx, scratch, t, pos) {
             break;
         }
     }
-    state.finish_traced(&ctx)
-}
-
-/// Traces a packet of primary rays in lockstep: sample `k` of every live
-/// ray is processed before sample `k + 1` of any, sharing one MLP scratch.
-///
-/// Each ray keeps its own sampler, accumulator, skipper, and statistics —
-/// the packet only interleaves *when* per-ray work happens, never *what* —
-/// so the returned colors and stats are bitwise-identical to calling
-/// [`trace_ray`] per ray, at any packet size. Rays that terminate early or
-/// exhaust their sample range drop out of the lockstep individually.
-///
-/// This is the CPU analogue of the accelerator batching samples across its
-/// parallel ray units to keep the shared MLP array busy; the tile engine
-/// packets rays per [`RenderConfig::packet_size`].
-pub fn trace_packet<S: VoxelSource + ?Sized>(
-    source: &S,
-    mlp: &Mlp,
-    frame: &RenderFrame,
-    rays: &[Ray],
-    cfg: &RenderConfig,
-    scratch: &mut MlpScratch,
-) -> Vec<(Vec3, RayStats)> {
-    trace_packet_shaded(source, Shader::PerSample(mlp), frame, rays, cfg, scratch)
-}
-
-/// [`trace_packet`] generalized over the shading model, exactly as
-/// [`trace_ray_shaded`] generalizes [`trace_ray`]. Bitwise-identical to
-/// per-ray [`trace_ray_shaded`] calls at any packet size, for either
-/// [`Shader`] variant.
-pub fn trace_packet_shaded<S: VoxelSource + ?Sized>(
-    source: &S,
-    shader: Shader<'_>,
-    frame: &RenderFrame,
-    rays: &[Ray],
-    cfg: &RenderConfig,
-    scratch: &mut MlpScratch,
-) -> Vec<(Vec3, RayStats)> {
-    let ctx = StepCtx { shader, frame, cfg, dims: source.dims() };
-    struct Lane<'a> {
-        sampler: UniformSampler,
-        state: RayState<'a>,
-        done: bool,
-    }
-    let mut lanes: Vec<Lane<'_>> = rays
-        .iter()
-        .map(|ray| Lane {
-            sampler: UniformSampler::new(*ray, &frame.aabb, frame.step),
-            state: RayState::new(source, ray, cfg),
-            done: false,
-        })
-        .collect();
-    loop {
-        let mut progressed = false;
-        for lane in &mut lanes {
-            if lane.done {
-                continue;
-            }
-            match lane.sampler.next() {
-                None => lane.done = true,
-                Some((t, pos)) => {
-                    progressed = true;
-                    if lane.state.step(source, &ctx, scratch, t, pos) {
-                        lane.done = true;
-                    }
-                }
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    lanes.into_iter().map(|lane| lane.state.finish(&ctx)).collect()
+    state.finish(&ctx)
 }
 
 /// Renders one view of `source` through `camera`, returning the image and
 /// the workload statistics.
 ///
-/// Dispatches to the tile-parallel engine per
-/// [`RenderConfig::parallelism`]; output images and stats are
-/// bitwise-identical to [`render_view_serial`] at any thread count and tile
-/// size.
+/// The frame renderer: the view is split into [`RenderConfig::tile_size`]
+/// tiles that the engine's worker pool traces on
+/// [`RenderConfig::parallelism`] threads; tiles are merged back in tile
+/// index order, so the image and stats are bitwise-identical to
+/// [`render_view_serial`] at any thread count and tile size.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero.
+/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero, or if a
+/// worker thread panics.
 pub fn render_view<S: VoxelSource + Sync>(
-    source: &S,
-    mlp: &Mlp,
-    camera: &PinholeCamera,
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-) -> (ImageBuffer, RenderStats) {
-    engine::render_view_tiled(source, mlp, camera, aabb, cfg)
-}
-
-/// [`render_view`] generalized over the shading model: the front door of
-/// the bake-and-defer path (and, with [`Shader::PerSample`], exactly
-/// [`render_view`]).
-///
-/// The same determinism guarantee holds: output is bitwise-identical to
-/// [`render_view_serial_shaded`] at any thread count, tile size, and
-/// packet size.
-///
-/// # Panics
-///
-/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero.
-pub fn render_view_shaded<S: VoxelSource + Sync>(
     source: &S,
     shader: Shader<'_>,
     camera: &PinholeCamera,
     aabb: &Aabb,
     cfg: &RenderConfig,
 ) -> (ImageBuffer, RenderStats) {
-    engine::render_view_tiled_shaded(source, shader, camera, aabb, cfg)
+    let sched = TileScheduler::new(camera.width, camera.height, cfg.tile_size);
+    let frame = RenderFrame::new(source.dims(), aabb, cfg);
+    let tiles = parallel_map(sched.tile_count(), cfg.parallelism, |i, scratch| {
+        let mut stats = RenderStats::default();
+        let pixels: Vec<Vec3> = sched
+            .tile(i)
+            .pixels()
+            .map(|(px, py)| {
+                let ray = camera.ray_for_pixel(px, py);
+                let traced = trace_ray(source, shader, &frame, ray, cfg, scratch, SkipCache::EMPTY);
+                stats.record_ray(&traced.stats);
+                traced.color
+            })
+            .collect();
+        (pixels, stats)
+    });
+    let mut img = ImageBuffer::new(camera.width, camera.height);
+    let mut stats = RenderStats::default();
+    for (tile, (pixels, tile_stats)) in sched.tiles().zip(tiles) {
+        for ((px, py), color) in tile.pixels().zip(pixels) {
+            img.set(px, py, color);
+        }
+        stats += tile_stats;
+    }
+    (img, stats)
 }
 
 /// The single-threaded row-major reference renderer.
 ///
-/// This is the determinism oracle: the tile engine's output must equal it
-/// bitwise. It ignores `cfg.parallelism` / `cfg.tile_size` /
-/// `cfg.packet_size` (rays march one at a time in row-major order) and
-/// does not require `Sync`, so it also serves trait-object sources.
+/// This is the determinism oracle: [`render_view`]'s output must equal it
+/// bitwise. It ignores `cfg.parallelism` / `cfg.tile_size` (rays march
+/// one at a time in row-major order) and does not require `Sync`, so it
+/// also serves trait-object sources.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.samples_per_ray` is zero.
 pub fn render_view_serial<S: VoxelSource + ?Sized>(
-    source: &S,
-    mlp: &Mlp,
-    camera: &PinholeCamera,
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-) -> (ImageBuffer, RenderStats) {
-    render_view_serial_shaded(source, Shader::PerSample(mlp), camera, aabb, cfg)
-}
-
-/// [`render_view_serial`] generalized over the shading model — the
-/// determinism oracle for [`render_view_shaded`].
-///
-/// # Panics
-///
-/// Panics if `cfg.samples_per_ray` is zero.
-pub fn render_view_serial_shaded<S: VoxelSource + ?Sized>(
     source: &S,
     shader: Shader<'_>,
     camera: &PinholeCamera,
@@ -847,16 +704,11 @@ pub fn render_view_serial_shaded<S: VoxelSource + ?Sized>(
     let mut scratch = MlpScratch::new();
     for py in 0..camera.height {
         for px in 0..camera.width {
-            let (color, ray_stats) = trace_ray_shaded(
-                source,
-                shader,
-                &frame,
-                camera.ray_for_pixel(px, py),
-                cfg,
-                &mut scratch,
-            );
-            stats.record_ray(&ray_stats);
-            img.set(px, py, color);
+            let ray = camera.ray_for_pixel(px, py);
+            let traced =
+                trace_ray(source, shader, &frame, ray, cfg, &mut scratch, SkipCache::EMPTY);
+            stats.record_ray(&traced.stats);
+            img.set(px, py, traced.color);
         }
     }
     (img, stats)
@@ -878,7 +730,8 @@ mod tests {
         let grid = DenseGrid::zeros(GridDims::cube(16));
         let mlp = Mlp::random(0);
         let cam = default_camera(8, 8, 0, 4);
-        let (img, stats) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let (img, stats) =
+            render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
         for p in img.pixels() {
             assert_eq!(*p, Vec3::ONE);
         }
@@ -891,7 +744,8 @@ mod tests {
         let grid = build_grid(SceneId::Lego, 32);
         let mlp = Mlp::random(0);
         let cam = default_camera(16, 16, 0, 4);
-        let (img, stats) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let (img, stats) =
+            render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
         assert!(stats.samples_shaded > 0, "object must be hit");
         let non_bg = img.pixels().iter().filter(|p| (**p - Vec3::ONE).length() > 0.05).count();
         assert!(non_bg > 10, "object should cover some pixels, got {non_bg}");
@@ -902,8 +756,8 @@ mod tests {
         let grid = build_grid(SceneId::Mic, 24);
         let mlp = Mlp::random(1);
         let cam = default_camera(8, 8, 1, 4);
-        let (a, _) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
-        let (b, _) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let (a, _) = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
+        let (b, _) = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
         assert_eq!(a, b);
     }
 
@@ -912,10 +766,11 @@ mod tests {
         let grid = build_grid(SceneId::Lego, 28);
         let mlp = Mlp::random(0);
         let cam = default_camera(13, 11, 0, 4);
-        let serial = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let serial =
+            render_view_serial(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
         for threads in [1, 2, 3, 8] {
             let cfg = RenderConfig { parallelism: threads, tile_size: 5, ..tiny_cfg() };
-            let parallel = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+            let parallel = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &cfg);
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
@@ -925,7 +780,8 @@ mod tests {
         let grid = build_grid(SceneId::Chair, 28);
         let mlp = Mlp::random(0);
         let cam = default_camera(12, 12, 2, 4);
-        let (_, stats) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let (_, stats) =
+            render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
         assert_eq!(stats.rays, 144);
         assert!(stats.samples_shaded <= stats.samples_marched);
         assert!(stats.rays_terminated_early <= stats.rays);
@@ -939,8 +795,8 @@ mod tests {
         let cam = default_camera(6, 6, 0, 4);
         let lo = RenderConfig { samples_per_ray: 16, ..Default::default() };
         let hi = RenderConfig { samples_per_ray: 64, ..Default::default() };
-        let (_, s_lo) = render_view(&grid, &mlp, &cam, &scene_aabb(), &lo);
-        let (_, s_hi) = render_view(&grid, &mlp, &cam, &scene_aabb(), &hi);
+        let (_, s_lo) = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &lo);
+        let (_, s_hi) = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &hi);
         assert!(s_hi.samples_marched > 2 * s_lo.samples_marched);
     }
 
@@ -951,8 +807,8 @@ mod tests {
         let cam = default_camera(10, 10, 0, 4);
         let eager = RenderConfig { early_stop: 0.5, ..tiny_cfg() };
         let never = RenderConfig { early_stop: 0.0, ..tiny_cfg() };
-        let (_, s_eager) = render_view(&grid, &mlp, &cam, &scene_aabb(), &eager);
-        let (_, s_never) = render_view(&grid, &mlp, &cam, &scene_aabb(), &never);
+        let (_, s_eager) = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &eager);
+        let (_, s_never) = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &never);
         assert!(s_eager.samples_shaded <= s_never.samples_shaded);
         assert!(s_eager.rays_terminated_early > 0);
         assert_eq!(s_never.rays_terminated_early, 0);
@@ -1068,10 +924,10 @@ mod tests {
             let grid = build_grid(id, 28);
             let mlp = Mlp::random(0);
             let cam = default_camera(12, 12, 0, 4);
-            let off = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+            let off = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
             let skippable = WithOccupancy::build(&grid);
             let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-            let on = render_view(&skippable, &mlp, &cam, &scene_aabb(), &cfg);
+            let on = render_view(&skippable, Shader::PerSample(&mlp), &cam, &scene_aabb(), &cfg);
             assert_eq!(on.0, off.0, "{id:?}: images must be bitwise-identical");
             assert_eq!(on.1.samples_shaded, off.1.samples_shaded);
             assert_eq!(on.1.rays_terminated_early, off.1.rays_terminated_early);
@@ -1094,10 +950,10 @@ mod tests {
         let grid = build_grid(SceneId::Drums, 24);
         let mlp = Mlp::random(1);
         let cam = default_camera(9, 9, 2, 4);
-        let off = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let off = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
         let skippable = WithOccupancy::build(&grid);
         let cfg = RenderConfig { skip_mode: SkipMode::Mip { levels: 0 }, ..tiny_cfg() };
-        let on = render_view(&skippable, &mlp, &cam, &scene_aabb(), &cfg);
+        let on = render_view(&skippable, Shader::PerSample(&mlp), &cam, &scene_aabb(), &cfg);
         assert_eq!(on.0, off.0, "fine-level-only skipping stays exact");
         assert!(on.1.samples_skipped > 0);
     }
@@ -1108,8 +964,8 @@ mod tests {
         let mlp = Mlp::random(0);
         let cam = default_camera(8, 8, 0, 4);
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-        let on = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
-        let off = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let on = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &cfg);
+        let off = render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
         assert_eq!(on, off, "a bare source has no pyramid, so nothing skips");
         assert_eq!(on.1.samples_skipped, 0);
     }
@@ -1122,7 +978,8 @@ mod tests {
         let cam = default_camera(8, 8, 0, 4);
         let skippable = WithOccupancy::build(&grid);
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-        let (img, stats) = render_view(&skippable, &mlp, &cam, &scene_aabb(), &cfg);
+        let (img, stats) =
+            render_view(&skippable, Shader::PerSample(&mlp), &cam, &scene_aabb(), &cfg);
         for p in img.pixels() {
             assert_eq!(*p, Vec3::ONE);
         }
@@ -1136,27 +993,20 @@ mod tests {
         let mlp = Mlp::random(0);
         let cam = default_camera(10, 10, 0, 4);
         let cfg = tiny_cfg();
+        let shader = Shader::PerSample(&mlp);
+        let (img, view_stats) = render_view(&grid, shader, &cam, &scene_aabb(), &cfg);
         let frame = RenderFrame::new(grid.dims(), &scene_aabb(), &cfg);
         let mut scratch = MlpScratch::new();
-        let shader = Shader::PerSample(&mlp);
+        let mut stats = RenderStats::default();
         let mut hits = 0;
         for py in 0..10 {
             for px in 0..10 {
                 let ray = cam.ray_for_pixel(px, py);
-                let (color, stats) =
-                    trace_ray_shaded(&grid, shader, &frame, ray, &cfg, &mut scratch);
-                let traced = trace_ray_traced(
-                    &grid,
-                    shader,
-                    &frame,
-                    ray,
-                    &cfg,
-                    &mut scratch,
-                    SkipCache::EMPTY,
-                );
-                assert_eq!(traced.color, color, "traced color must be bitwise-identical");
-                assert_eq!(traced.stats, stats);
-                if stats.samples_shaded > 0 {
+                let traced =
+                    trace_ray(&grid, shader, &frame, ray, &cfg, &mut scratch, SkipCache::EMPTY);
+                assert_eq!(traced.color, img.get(px, py), "the view is the per-ray kernel's");
+                stats.record_ray(&traced.stats);
+                if traced.stats.samples_shaded > 0 {
                     hits += 1;
                     // Depth sits inside the march range of the 2.8-radius orbit
                     // camera over the [-1, 1]³ box.
@@ -1171,6 +1021,7 @@ mod tests {
             }
         }
         assert!(hits > 0, "object must be hit");
+        assert_eq!(stats, view_stats, "the view's stats are the sum of its rays'");
     }
 
     #[test]
@@ -1192,7 +1043,7 @@ mod tests {
             let mut seed = SkipCache::EMPTY;
             for py in 0..12 {
                 let ray = cam.ray_for_pixel(px, py);
-                let fresh = trace_ray_traced(
+                let fresh = trace_ray(
                     &skippable,
                     shader,
                     &frame,
@@ -1201,8 +1052,7 @@ mod tests {
                     &mut scratch,
                     SkipCache::EMPTY,
                 );
-                let seeded =
-                    trace_ray_traced(&skippable, shader, &frame, ray, &cfg, &mut scratch, seed);
+                let seeded = trace_ray(&skippable, shader, &frame, ray, &cfg, &mut scratch, seed);
                 assert_eq!(seeded.color, fresh.color, "seed must never change a pixel");
                 assert_eq!(seeded.stats, fresh.stats, "seed must never change the accounting");
                 assert_eq!(seeded.depth.to_bits(), fresh.depth.to_bits());
@@ -1220,11 +1070,10 @@ mod tests {
         let grid = build_grid(SceneId::Lego, 24);
         let mlp = Mlp::random(0);
         let cam = default_camera(10, 10, 0, 4);
-        let classic = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
-        let shaded =
-            render_view_shaded(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
-        assert_eq!(shaded, classic, "PerSample must be exactly the historical path");
-        assert_eq!(shaded.1.pixels_shaded, 0, "no deferred evaluations in per-sample mode");
+        let (_, stats) =
+            render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
+        assert!(stats.samples_shaded > 0, "object must be hit");
+        assert_eq!(stats.pixels_shaded, 0, "no deferred evaluations in per-sample mode");
     }
 
     #[test]
@@ -1235,13 +1084,8 @@ mod tests {
         let baked = bake(&grid, &Mlp::random(0));
         let deferred = DeferredMlp::random(0);
         let cam = default_camera(12, 12, 0, 4);
-        let (img, stats) = render_view_shaded(
-            &baked,
-            Shader::Deferred(&deferred),
-            &cam,
-            &scene_aabb(),
-            &tiny_cfg(),
-        );
+        let (img, stats) =
+            render_view(&baked, Shader::Deferred(&deferred), &cam, &scene_aabb(), &tiny_cfg());
         assert!(stats.pixels_shaded > 0, "object must be hit");
         assert!(stats.pixels_shaded <= stats.rays, "at most one deferred eval per ray");
         assert!(
@@ -1256,7 +1100,13 @@ mod tests {
         // Marching workload is identical to per-sample rendering of the
         // same baked grid: density (and therefore support) is copied
         // verbatim by the bake.
-        let per_sample = render_view(&baked, &Mlp::random(0), &cam, &scene_aabb(), &tiny_cfg());
+        let per_sample = render_view(
+            &baked,
+            Shader::PerSample(&Mlp::random(0)),
+            &cam,
+            &scene_aabb(),
+            &tiny_cfg(),
+        );
         assert_eq!(stats.samples_marched, per_sample.1.samples_marched);
         assert_eq!(stats.samples_shaded, per_sample.1.samples_shaded);
     }
@@ -1270,16 +1120,11 @@ mod tests {
         let deferred = DeferredMlp::random(1);
         let cam = default_camera(13, 11, 1, 4);
         let shader = Shader::Deferred(&deferred);
-        let serial = render_view_serial_shaded(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
-        for (threads, packet) in [(2usize, 1usize), (3, 4), (8, 7)] {
-            let cfg = RenderConfig {
-                parallelism: threads,
-                tile_size: 5,
-                packet_size: packet,
-                ..tiny_cfg()
-            };
-            let parallel = render_view_shaded(&baked, shader, &cam, &scene_aabb(), &cfg);
-            assert_eq!(parallel, serial, "threads={threads} packet={packet}");
+        let serial = render_view_serial(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
+        for threads in [2, 3, 8] {
+            let cfg = RenderConfig { parallelism: threads, tile_size: 5, ..tiny_cfg() };
+            let parallel = render_view(&baked, shader, &cam, &scene_aabb(), &cfg);
+            assert_eq!(parallel, serial, "threads={threads}");
         }
     }
 
@@ -1293,10 +1138,10 @@ mod tests {
         let deferred = DeferredMlp::random(2);
         let cam = default_camera(10, 10, 2, 4);
         let shader = Shader::Deferred(&deferred);
-        let off = render_view_shaded(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
+        let off = render_view(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
         let skippable = WithOccupancy::build(&baked);
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-        let on = render_view_shaded(&skippable, shader, &cam, &scene_aabb(), &cfg);
+        let on = render_view(&skippable, shader, &cam, &scene_aabb(), &cfg);
         assert_eq!(on.0, off.0, "skipping must not change a deferred pixel");
         assert_eq!(on.1.pixels_shaded, off.1.pixels_shaded);
         assert_eq!(on.1.samples_shaded, off.1.samples_shaded);

@@ -10,9 +10,9 @@
 //!   (orbit, dolly, handheld jitter from the seeded rand shim) expanded
 //!   into [`PinholeCamera`] sequences;
 //! * [`ReuseMode`] — the frame-to-frame reuse policy.
-//!   [`ReuseMode::Off`] renders every frame through the ordinary tile
-//!   engine and is **bitwise-identical** to a loop of independent
-//!   [`crate::renderer::render_view_shaded`] calls.
+//!   [`ReuseMode::Off`] renders every frame through the ordinary frame
+//!   renderer and is **bitwise-identical** to a loop of independent
+//!   [`crate::renderer::render_view`] calls.
 //!   [`ReuseMode::Warp`] forward-warps the previous frame's radiance along
 //!   the camera delta at its marched depth and re-marches only the rays
 //!   that need it (disoccluded pixels, depth edges, and a rotating
@@ -30,10 +30,10 @@
 //!   row-major order with a strict nearest-depth-wins test, so conflicts
 //!   resolve identically on every run;
 //! * re-marched rays go through the same pure
-//!   [`crate::renderer::trace_ray_traced`] kernel as still frames, and the
-//!   per-frame merge is in pixel order — so a temporal frame is
-//!   bitwise-identical across thread counts, tile sizes, and packet sizes
-//!   (the warp path schedules rays itself and ignores the latter two);
+//!   [`crate::renderer::trace_ray`] kernel as still frames, on the engine's
+//!   worker pool, and the per-frame merge is in pixel order — so a temporal
+//!   frame is bitwise-identical across thread counts and tile sizes (the
+//!   warp path schedules rays itself and ignores the latter);
 //! * background is reused too: rays that shaded nothing are splatted at
 //!   [`WarpConfig::far_depth`], so an empty sky never forces a re-march.
 //!
@@ -46,18 +46,15 @@
 //! [`TemporalFrame::validation_error`] reports the largest warped-vs-
 //! re-marched discrepancy actually observed.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::camera::{PinholeCamera, Pose};
-use crate::engine::resolve_parallelism;
+use crate::engine::parallel_map;
 use crate::image::ImageBuffer;
-use crate::mlp::MlpScratch;
 use crate::ray::Aabb;
 use crate::renderer::{
-    trace_ray_traced, RenderConfig, RenderFrame, RenderStats, Shader, SkipCache, TracedRay,
+    render_view, trace_ray, RenderConfig, RenderFrame, RenderStats, Shader, SkipCache, TracedRay,
 };
 use crate::source::VoxelSource;
 use crate::vec3::Vec3;
@@ -463,8 +460,8 @@ pub struct TemporalFrame {
 /// Renders one frame of a trajectory, consuming and replacing the reuse
 /// state in `state`.
 ///
-/// * [`ReuseMode::Off`] — delegates to the ordinary tile engine
-///   ([`crate::engine::render_view_tiled_shaded`]); the result is
+/// * [`ReuseMode::Off`] — delegates to the ordinary frame renderer
+///   ([`crate::renderer::render_view`]); the result is
 ///   bitwise-identical to an independent still render and `state` is
 ///   cleared.
 /// * [`ReuseMode::Warp`] — with no usable state (first frame, or a camera
@@ -494,8 +491,7 @@ pub fn advance_frame<S: VoxelSource + Sync>(
     let wcfg = match mode {
         ReuseMode::Off => {
             *state = None;
-            let (image, stats) =
-                crate::engine::render_view_tiled_shaded(source, shader, camera, aabb, cfg);
+            let (image, stats) = render_view(source, shader, camera, aabb, cfg);
             return TemporalFrame { image, stats, validation_error: 0.0 };
         }
         ReuseMode::Warp(wcfg) => wcfg,
@@ -572,7 +568,7 @@ pub fn advance_frame<S: VoxelSource + Sync>(
 /// Renders a whole camera path, threading reuse state frame to frame.
 ///
 /// With [`ReuseMode::Off`] the result is bitwise-identical to calling
-/// [`crate::renderer::render_view_shaded`] once per camera.
+/// [`crate::renderer::render_view`] once per camera.
 ///
 /// # Panics
 ///
@@ -610,10 +606,10 @@ const REMARCH_CHUNK: usize = 128;
 /// Traces the listed pixels (each with its own [`SkipCache`] seed),
 /// returning results in job order.
 ///
-/// Parallelism mirrors the tile engine: workers race an atomic chunk
-/// cursor, and results are merged back in chunk index order. Since every
-/// job is a pure per-ray computation and the per-frame statistics are sums
-/// of naturals, the output is bitwise-identical at every worker count.
+/// Chunks of [`REMARCH_CHUNK`] jobs run on the engine's worker pool, which
+/// hands them back in chunk index order. Since every job is a pure per-ray
+/// computation and the per-frame statistics are sums of naturals, the
+/// output is bitwise-identical at every worker count.
 fn trace_pixels<S: VoxelSource + Sync>(
     source: &S,
     shader: Shader<'_>,
@@ -622,58 +618,25 @@ fn trace_pixels<S: VoxelSource + Sync>(
     cfg: &RenderConfig,
     jobs: &[(usize, SkipCache)],
 ) -> Vec<TracedRay> {
-    let trace_chunk = |chunk: &[(usize, SkipCache)], scratch: &mut MlpScratch| -> Vec<TracedRay> {
-        chunk
+    let chunks: Vec<&[(usize, SkipCache)]> = jobs.chunks(REMARCH_CHUNK).collect();
+    let traced = parallel_map(chunks.len(), cfg.parallelism, |ci, scratch| {
+        chunks[ci]
             .iter()
             .map(|&(j, seed)| {
                 let (px, py) = (j as u32 % camera.width, j as u32 / camera.width);
                 let ray = camera.ray_for_pixel(px, py);
-                trace_ray_traced(source, shader, frame, ray, cfg, scratch, seed)
+                trace_ray(source, shader, frame, ray, cfg, scratch, seed)
             })
-            .collect()
-    };
-    let n_chunks = jobs.len().div_ceil(REMARCH_CHUNK);
-    let workers = resolve_parallelism(cfg.parallelism).clamp(1, n_chunks.max(1));
-    if workers == 1 {
-        let mut scratch = MlpScratch::new();
-        return trace_chunk(jobs, &mut scratch);
-    }
-    let next = AtomicUsize::new(0);
-    let done = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut scratch = MlpScratch::new();
-                    let mut out = Vec::new();
-                    loop {
-                        let ci = next.fetch_add(1, Ordering::Relaxed);
-                        if ci >= n_chunks {
-                            break out;
-                        }
-                        let chunk =
-                            &jobs[ci * REMARCH_CHUNK..jobs.len().min((ci + 1) * REMARCH_CHUNK)];
-                        out.push((ci, trace_chunk(chunk, &mut scratch)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("re-march worker panicked"))
             .collect::<Vec<_>>()
     });
-    let mut slots: Vec<Option<Vec<TracedRay>>> = (0..n_chunks).map(|_| None).collect();
-    for (ci, chunk) in done {
-        slots[ci] = Some(chunk);
-    }
-    slots.into_iter().flat_map(|c| c.expect("every chunk traced exactly once")).collect()
+    traced.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mlp::Mlp;
-    use crate::renderer::{render_view_shaded, SkipMode};
+    use crate::renderer::SkipMode;
     use crate::scene::{build_grid, scene_aabb, SceneId};
 
     fn tiny_cfg() -> RenderConfig {
@@ -714,7 +677,7 @@ mod tests {
         let frames =
             render_trajectory_shaded(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::Off);
         for (frame, cam) in frames.iter().zip(&cams) {
-            let (img, stats) = render_view_shaded(&grid, shader, cam, &scene_aabb(), &cfg);
+            let (img, stats) = render_view(&grid, shader, cam, &scene_aabb(), &cfg);
             assert_eq!(frame.image, img);
             assert_eq!(frame.stats, stats);
             assert_eq!(frame.stats.rays_warped, 0);
@@ -740,7 +703,7 @@ mod tests {
             0,
             &mut state,
         );
-        let (img, stats) = render_view_shaded(&grid, shader, &cam, &scene_aabb(), &cfg);
+        let (img, stats) = render_view(&grid, shader, &cam, &scene_aabb(), &cfg);
         assert_eq!(frame.image, img, "a stateless warp frame is a full render");
         assert_eq!(frame.stats.samples_marched, stats.samples_marched);
         assert_eq!(frame.stats.rays_remarched, frame.stats.rays);
@@ -767,7 +730,7 @@ mod tests {
             assert_eq!(frame.stats.rays_warped + frame.stats.rays_remarched, frame.stats.rays);
             assert!(frame.validation_error <= tolerance, "frame {i}: {}", frame.validation_error);
             // Warped frames approximate the exact render within tolerance.
-            let (exact, _) = render_view_shaded(&grid, shader, cam, &scene_aabb(), &cfg);
+            let (exact, _) = render_view(&grid, shader, cam, &scene_aabb(), &cfg);
             for (a, b) in frame.image.pixels().iter().zip(exact.pixels()) {
                 let d = *a - *b;
                 for ch in [d.x, d.y, d.z] {
@@ -791,13 +754,8 @@ mod tests {
             &tiny_cfg(),
             ReuseMode::warp(),
         );
-        for (threads, tile, packet) in [(2usize, 4u32, 1usize), (4, 7, 3), (0, 32, 8)] {
-            let cfg = RenderConfig {
-                parallelism: threads,
-                tile_size: tile,
-                packet_size: packet,
-                ..tiny_cfg()
-            };
+        for (threads, tile) in [(2usize, 4u32), (4, 7), (0, 32)] {
+            let cfg = RenderConfig { parallelism: threads, tile_size: tile, ..tiny_cfg() };
             let got = render_trajectory_shaded(
                 &grid,
                 shader,
@@ -806,7 +764,7 @@ mod tests {
                 &cfg,
                 ReuseMode::warp(),
             );
-            assert_eq!(got, base, "threads={threads} tile={tile} packet={packet}");
+            assert_eq!(got, base, "threads={threads} tile={tile}");
         }
     }
 

@@ -3,15 +3,15 @@
 //!
 //! * `ReuseMode::Off` is bitwise a loop of independent single-frame
 //!   renders, for every source kind including the bake-and-defer path;
-//! * warped frames are bitwise-deterministic across thread counts, tile
-//!   sizes, and packet sizes;
+//! * warped frames are bitwise-deterministic across thread counts and tile
+//!   sizes;
 //! * warp-then-validate never drifts from a full re-march by more than the
 //!   configured [`WarpConfig::tolerance`], on any pixel of any frame.
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;
 use spnerf_render::mlp::{DeferredMlp, Mlp};
-use spnerf_render::renderer::{render_view_shaded, RenderConfig, Shader};
+use spnerf_render::renderer::{render_view, RenderConfig, Shader};
 use spnerf_render::scene::scene_aabb;
 use spnerf_render::source::VoxelSource;
 use spnerf_render::temporal::{
@@ -95,10 +95,7 @@ fn independent_frames<S: VoxelSource + Sync>(
     spec: &TrajectorySpec,
     cfg: &RenderConfig,
 ) -> Vec<(spnerf_render::image::ImageBuffer, spnerf_render::renderer::RenderStats)> {
-    spec.cameras()
-        .iter()
-        .map(|cam| render_view_shaded(source, shader, cam, &scene_aabb(), cfg))
-        .collect()
+    spec.cameras().iter().map(|cam| render_view(source, shader, cam, &scene_aabb(), cfg)).collect()
 }
 
 proptest! {
@@ -154,24 +151,18 @@ proptest! {
         threads_b in 1usize..=6,
         tile_a in 1u32..=8,
         tile_b in 1u32..=8,
-        packet_a in 0usize..=9,
-        packet_b in 0usize..=9,
     ) {
         let spec = spec_for(path_idx, frames, image);
-        let cfg_a = RenderConfig {
-            parallelism: threads_a, tile_size: tile_a, packet_size: packet_a, ..render_cfg()
-        };
-        let cfg_b = RenderConfig {
-            parallelism: threads_b, tile_size: tile_b, packet_size: packet_b, ..render_cfg()
-        };
+        let cfg_a = RenderConfig { parallelism: threads_a, tile_size: tile_a, ..render_cfg() };
+        let cfg_b = RenderConfig { parallelism: threads_b, tile_size: tile_b, ..render_cfg() };
         let a = trajectory_over_source(arch_idx, 1, &spec, &cfg_a, ReuseMode::warp());
         let b = trajectory_over_source(arch_idx, 1, &spec, &cfg_b, ReuseMode::warp());
         for (i, (fa, fb)) in a.iter().zip(&b).enumerate() {
             prop_assert!(
                 fa.image == fb.image,
                 "warped frame {} depends on the schedule (arch={} path={} \
-                 threads {}/{} tiles {}/{} packets {}/{})",
-                i, arch_idx, path_idx, threads_a, threads_b, tile_a, tile_b, packet_a, packet_b
+                 threads {}/{} tiles {}/{})",
+                i, arch_idx, path_idx, threads_a, threads_b, tile_a, tile_b
             );
             prop_assert_eq!(&fa.stats, &fb.stats, "stats diverged on frame {}", i);
         }

@@ -4,7 +4,6 @@
 //! cargo run --release -p spnerf-serve --bin spnerf_serve -- [--quick]
 //!     [--seed N] [--duration-ticks N] [--cache-bytes N] [--zipf-s S]
 //!     [--replay FILE] [--threads N] [--skip-mode off|mip|mip:N]
-//!     [--packet-size N]
 //! ```
 //!
 //! Stdout is **exactly one JSON document** (the schema-versioned report,
@@ -17,13 +16,14 @@
 //! `spnerf_serve::traffic::Trace::to_replay`) instead of synthesizing
 //! traffic; `--seed`/`--zipf-s`/`--duration-ticks` shape the synthetic
 //! trace and are rejected-by-irrelevance only informally (they are echoed
-//! into the report but do not alter a replay).
+//! into the report but do not alter a replay). `--duration-ticks` above
+//! `spnerf_serve::traffic::MAX_DURATION_TICKS` exits 2 before synthesis.
 
-use spnerf_bench::cli;
+use spnerf_bench::cli::{self, ArgError};
 use spnerf_bench::SourceMode;
 use spnerf_serve::report::validate_report_json;
 use spnerf_serve::server::{run, RunMeta, ServeConfig};
-use spnerf_serve::traffic::{Trace, TrafficConfig};
+use spnerf_serve::traffic::{Trace, TrafficConfig, MAX_DURATION_TICKS};
 
 fn main() {
     let args = cli::parse_or_exit();
@@ -45,9 +45,6 @@ fn main() {
         cfg.render.parallelism = threads;
     }
     cfg.render.skip_mode = args.skip_mode;
-    if let Some(packet) = args.packet_size {
-        cfg.render.packet_size = packet;
-    }
     if let Some(bytes) = args.cache_bytes {
         cfg.cache_bytes = bytes;
     }
@@ -57,6 +54,11 @@ fn main() {
     let zipf_s = args.zipf_s.unwrap_or(defaults.zipf_s);
     let duration =
         args.duration_ticks.unwrap_or(if args.quick { 2000 } else { defaults.duration_ticks });
+    if duration > MAX_DURATION_TICKS {
+        let flag = "--duration-ticks";
+        eprintln!("{}", ArgError::TooLarge { flag, value: duration, max: MAX_DURATION_TICKS });
+        std::process::exit(2);
+    }
 
     let (trace, meta) = match &args.replay {
         Some(path) => {

@@ -51,6 +51,24 @@ pub const TRAJECTORY_FRAMES: usize = 4;
 /// synthesized [`TRAJECTORY_FRAMES`].
 pub const MAX_REPLAY_FRAMES: usize = 64;
 
+/// Largest catalog a trace may declare (`scenes`). The run sizes its
+/// catalog and per-scene queues by it; 1024 is ~200x the default 5-scene
+/// catalog.
+pub const MAX_SCENES: usize = 1024;
+
+/// Largest tenant count a trace may declare (`tenants`). The run sizes its
+/// per-tenant books and the report by it.
+pub const MAX_TENANTS: usize = 1024;
+
+/// Largest orbit view count a trace may declare (`views`).
+pub const MAX_VIEWS: usize = 1024;
+
+/// Longest synthetic arrival horizon (`--duration-ticks`). Synthesis
+/// draws one request per mean inter-arrival gap up to the horizon, so the
+/// horizon sizes the trace; 1 000 000 ticks is 250x the default 4000 and
+/// ~42 000 requests at the default 24-tick gap.
+pub const MAX_DURATION_TICKS: Ticks = 1_000_000;
+
 /// What a request asks the engine to render.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RequestKind {
@@ -143,17 +161,25 @@ impl TrafficConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `scenes`, `tenants`, or `views` is zero, if
+    /// Panics if `scenes`, `tenants`, or `views` is zero or above
+    /// [`MAX_SCENES`] / [`MAX_TENANTS`] / [`MAX_VIEWS`], if
+    /// `duration_ticks` is above [`MAX_DURATION_TICKS`], if
     /// `mean_interarrival` is zero, or if `zipf_s` is negative or
     /// non-finite.
     pub fn validate(&self) {
-        assert!(self.scenes >= 1, "TrafficConfig::scenes must be at least 1, got {}", self.scenes);
+        for (name, n, max) in [
+            ("scenes", self.scenes, MAX_SCENES),
+            ("tenants", self.tenants, MAX_TENANTS),
+            ("views", self.views, MAX_VIEWS),
+        ] {
+            assert!(n >= 1, "TrafficConfig::{name} must be at least 1, got {n}");
+            assert!(n <= max, "TrafficConfig::{name} must be at most {max}, got {n}");
+        }
         assert!(
-            self.tenants >= 1,
-            "TrafficConfig::tenants must be at least 1, got {}",
-            self.tenants
+            self.duration_ticks <= MAX_DURATION_TICKS,
+            "TrafficConfig::duration_ticks must be at most {MAX_DURATION_TICKS}, got {}",
+            self.duration_ticks
         );
-        assert!(self.views >= 1, "TrafficConfig::views must be at least 1, got {}", self.views);
         assert!(
             self.mean_interarrival >= 1,
             "TrafficConfig::mean_interarrival must be at least 1 tick, got {}",
@@ -191,8 +217,9 @@ impl Trace {
     /// # Panics
     ///
     /// Panics via [`TrafficConfig::validate`] — with the offending field's
-    /// name — if any count is zero, `mean_interarrival` is zero, or
-    /// `zipf_s` is negative or non-finite.
+    /// name — if any count is zero or above its bound, the horizon is above
+    /// [`MAX_DURATION_TICKS`], `mean_interarrival` is zero, or `zipf_s` is
+    /// negative or non-finite.
     pub fn synthesize(cfg: &TrafficConfig) -> Self {
         cfg.validate();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -249,8 +276,10 @@ impl Trace {
     }
 
     /// Parses the replay text format, strictly: wrong magic, malformed
-    /// rows, out-of-bounds fields, or ticks running backwards are errors
-    /// (never silently skipped — a truncated replay must not "work").
+    /// rows, out-of-bounds fields, counts above [`MAX_SCENES`] /
+    /// [`MAX_TENANTS`] / [`MAX_VIEWS`] / [`MAX_REPLAY_FRAMES`], or ticks
+    /// running backwards are errors (never silently skipped — a truncated
+    /// replay must not "work").
     ///
     /// # Errors
     ///
@@ -268,19 +297,25 @@ impl Trace {
         }
         let bounds = lines.next().ok_or("replay missing the bounds line".to_string())?;
         let b: Vec<&str> = bounds.split_whitespace().collect();
-        let bound = |i: usize, name: &str| -> Result<usize, String> {
+        let bound = |i: usize, name: &str, max: usize| -> Result<usize, String> {
             if b.len() != 6 || b[i * 2] != name {
                 return Err(format!(
-                    "bounds line must be `scenes N tenants N views N`: {bounds:?}"
+                    "line 2: bounds line must be `scenes N tenants N views N`: {bounds:?}"
                 ));
             }
             match b[i * 2 + 1].parse::<usize>() {
+                Ok(n) if n > max => {
+                    Err(format!("line 2: {name} count may be at most {max}, got {n}"))
+                }
                 Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("{name} count must be a positive integer: {bounds:?}")),
+                _ => Err(format!("line 2: {name} count must be a positive integer: {bounds:?}")),
             }
         };
-        let (scenes, tenants, views) =
-            (bound(0, "scenes")?, bound(1, "tenants")?, bound(2, "views")?);
+        let (scenes, tenants, views) = (
+            bound(0, "scenes", MAX_SCENES)?,
+            bound(1, "tenants", MAX_TENANTS)?,
+            bound(2, "views", MAX_VIEWS)?,
+        );
 
         let mut requests = Vec::new();
         let mut last_tick: Ticks = 0;
@@ -503,6 +538,30 @@ mod tests {
     }
 
     #[test]
+    fn header_counts_above_their_bounds_are_rejected_on_line_2() {
+        let header = |s: usize, t: usize, v: usize| {
+            format!("{REPLAY_HEADER}\nscenes {s} tenants {t} views {v}\n")
+        };
+        for (text, max) in [
+            (header(MAX_SCENES + 1, 1, 1), MAX_SCENES),
+            (header(1, MAX_TENANTS + 1, 1), MAX_TENANTS),
+            (header(1, 1, MAX_VIEWS + 1), MAX_VIEWS),
+            // The two headers that used to die in `Catalog::corpus`
+            // ("capacity overflow") and in the per-tenant books (a failed
+            // 32 PB allocation).
+            (header(1_000_000_000_000_000_000, 1, 1), MAX_SCENES),
+            (header(1, 1_000_000_000_000_000, 1), MAX_TENANTS),
+        ] {
+            let err = Trace::parse_replay(&text).unwrap_err();
+            assert!(err.starts_with("line 2: "), "error must name the line: {err}");
+            assert!(err.contains(&max.to_string()), "error must name the bound: {err}");
+        }
+        let at_bounds = Trace::parse_replay(&header(MAX_SCENES, MAX_TENANTS, MAX_VIEWS))
+            .expect("the bounds themselves are accepted");
+        assert_eq!((at_bounds.scenes, at_bounds.tenants, at_bounds.views), (1024, 1024, 1024));
+    }
+
+    #[test]
     fn smoke_fixture_parses_unchanged() {
         let text = include_str!("../tests/data/smoke.trace");
         let trace = Trace::parse_replay(text).expect("the CI replay fixture parses");
@@ -541,6 +600,12 @@ mod tests {
         assert!(field(TrafficConfig { scenes: 0, ..ok }).contains("scenes"));
         assert!(field(TrafficConfig { tenants: 0, ..ok }).contains("tenants"));
         assert!(field(TrafficConfig { views: 0, ..ok }).contains("views"));
+        assert!(field(TrafficConfig { scenes: MAX_SCENES + 1, ..ok }).contains("scenes"));
+        assert!(field(TrafficConfig { tenants: MAX_TENANTS + 1, ..ok }).contains("tenants"));
+        assert!(field(TrafficConfig { views: MAX_VIEWS + 1, ..ok }).contains("views"));
+        let past = TrafficConfig { duration_ticks: MAX_DURATION_TICKS + 1, ..ok };
+        assert!(field(past).contains("duration_ticks"));
+        TrafficConfig { duration_ticks: MAX_DURATION_TICKS, ..ok }.validate();
         assert!(field(TrafficConfig { mean_interarrival: 0, ..ok }).contains("mean_interarrival"));
         assert!(field(TrafficConfig { zipf_s: -1.0, ..ok }).contains("zipf_s"));
         assert!(field(TrafficConfig { zipf_s: f64::NAN, ..ok }).contains("zipf_s"));

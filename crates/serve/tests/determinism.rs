@@ -45,7 +45,7 @@ fn test_traffic() -> (Trace, RunMeta) {
 }
 
 #[test]
-fn worker_counts_and_packet_sizes_change_no_byte() {
+fn worker_counts_change_no_byte() {
     let (trace, meta) = test_traffic();
     let base = test_config();
 
@@ -53,15 +53,13 @@ fn worker_counts_and_packet_sizes_change_no_byte() {
     assert!(serial.report.served > 0, "the test trace must serve something");
     validate_report_json(&serial.report.to_json()).expect("report validates");
 
-    // Worker counts 1, 4, and auto (0 = all cores), plus a packet-size
-    // change: none of them may alter a single byte of the report or any
-    // served response.
-    for (threads, packet) in [(1, 1), (4, 1), (0, 1), (1, 4), (4, 8)] {
+    // Worker counts 1, 4, and auto (0 = all cores): none of them may alter
+    // a single byte of the report or any served response.
+    for threads in [1, 4, 0] {
         let mut cfg = base;
         cfg.render.parallelism = threads;
-        cfg.render.packet_size = packet;
         let out = run(&trace, &cfg, &meta);
-        assert_eq!(out, serial, "threads={threads} packet={packet} diverged from the serial run");
+        assert_eq!(out, serial, "threads={threads} diverged from the serial run");
         assert_eq!(out.report.to_json(), serial.report.to_json(), "serialized bytes must match");
         assert_eq!(out.report.responses_digest, responses_digest(&serial.responses));
     }
@@ -170,22 +168,54 @@ fn reports_never_echo_the_execution_environment() {
     }
 }
 
+/// Runs `spnerf_serve --quick` with `args`, serving `trace` (if any) as a
+/// replay file, and returns its exit code, stdout, and stderr.
+fn serve(name: &str, trace: Option<&str>, args: &[&str]) -> (Option<i32>, Vec<u8>, String) {
+    let path =
+        std::env::temp_dir().join(format!("spnerf_serve_{name}_{}.trace", std::process::id()));
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_spnerf_serve"));
+    cmd.arg("--quick").args(args);
+    if let Some(text) = trace {
+        std::fs::write(&path, text).unwrap();
+        cmd.arg("--replay").arg(&path);
+    }
+    let out = cmd.output().expect("spnerf_serve runs");
+    let _ = std::fs::remove_file(&path);
+    (out.status.code(), out.stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
 #[test]
 fn oversized_trajectory_replay_exits_2_before_serving() {
     // A one-line trace asking for a 100 000-frame trajectory must be
     // rejected by the parser (line-numbered, exit 2), never rendered.
-    let path =
-        std::env::temp_dir().join(format!("spnerf_serve_oversized_{}.trace", std::process::id()));
-    std::fs::write(&path, "spnerf-serve-trace v1\nscenes 1 tenants 1 views 1\n0 0 0 0 100000\n")
-        .unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_spnerf_serve"))
-        .args(["--quick", "--replay"])
-        .arg(&path)
-        .output()
-        .expect("spnerf_serve runs");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(2), "oversized frame count must exit 2");
-    assert!(out.stdout.is_empty(), "no report may be printed");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let trace = "spnerf-serve-trace v1\nscenes 1 tenants 1 views 1\n0 0 0 0 100000\n";
+    let (code, stdout, stderr) = serve("oversized", Some(trace), &[]);
+    assert_eq!(code, Some(2), "oversized frame count must exit 2");
+    assert!(stdout.is_empty(), "no report may be printed");
     assert!(stderr.contains("line 3:"), "the error must name the row: {stderr}");
+}
+
+#[test]
+fn oversized_replay_headers_exit_2_before_allocating() {
+    // These headers used to panic with "capacity overflow" (scenes) and
+    // abort on a 32 PB allocation (tenants).
+    for (name, header) in [
+        ("scenes", "scenes 1000000000000000000 tenants 1 views 1"),
+        ("tenants", "scenes 1 tenants 1000000000000000 views 1"),
+    ] {
+        let trace = format!("spnerf-serve-trace v1\n{header}\n0 0 0 0\n");
+        let (code, stdout, stderr) = serve(name, Some(&trace), &[]);
+        assert_eq!(code, Some(2), "oversized {name} count must exit 2: {stderr}");
+        assert!(stdout.is_empty(), "no report may be printed");
+        assert!(stderr.contains("line 2:"), "the error must name the header: {stderr}");
+    }
+}
+
+#[test]
+fn oversized_duration_exits_2_before_synthesis() {
+    let (code, stdout, stderr) =
+        serve("duration", None, &["--duration-ticks", "18446744073709551615"]);
+    assert_eq!(code, Some(2), "an unbounded horizon must exit 2: {stderr}");
+    assert!(stdout.is_empty(), "no report may be printed");
+    assert!(stderr.contains("--duration-ticks"), "the error must name the flag: {stderr}");
 }

@@ -9,7 +9,7 @@ use spnerf_accel::sim::pipeline::{simulate_frame, ArchConfig, CycleSimulator};
 use spnerf_accel::sim::systolic::SystolicArray;
 use spnerf_core::MaskMode;
 use spnerf_render::mlp::Mlp;
-use spnerf_render::renderer::{render_view, RenderConfig};
+use spnerf_render::renderer::{render_view, RenderConfig, Shader};
 use spnerf_render::scene::{default_camera, scene_aabb};
 use spnerf_testkit::corpus::Corpus;
 use spnerf_testkit::fixtures;
@@ -25,7 +25,8 @@ fn functional_sim_matches_reference_work_counts_on_every_archetype() {
         let cfg = RenderConfig { samples_per_ray: 24, early_stop: 0.0, ..Default::default() };
 
         let view = model.view(MaskMode::Masked);
-        let (sw_img, stats) = render_view(&view, &mlp, &cam, &scene_aabb(), &cfg);
+        let (sw_img, stats) =
+            render_view(&view, Shader::PerSample(&mlp), &cam, &scene_aabb(), &cfg);
 
         let mut hw = FunctionalPipeline::new(&model, &mlp, SystolicArray::new(8, 8), 16);
         let hw_img = hw.render(&cam, &scene_aabb(), &cfg);

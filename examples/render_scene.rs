@@ -8,7 +8,8 @@
 //!
 //! `--threads N` (or the `SPNERF_THREADS` environment variable; `0` = all
 //! cores) renders through the tile-parallel engine — the images are
-//! bitwise-identical at every thread count.
+//! bitwise-identical at every thread count. A malformed thread count exits
+//! 2 with a message.
 //!
 //! Output files: `target/render_<scene>_{gt,vqrf,spnerf,unmasked}.ppm`.
 
@@ -17,17 +18,24 @@ use std::io::BufWriter;
 
 use spnerf::core::SpNerfConfig;
 use spnerf::pipeline::{scene_by_name, PipelineBuilder, RenderRequest, RenderSource};
-use spnerf::render::engine::take_threads_args;
 use spnerf::render::image::ImageBuffer;
 use spnerf::render::renderer::RenderConfig;
 use spnerf::render::scene::{default_camera, SceneId};
 use spnerf::voxel::vqrf::VqrfConfig;
+use spnerf_bench::cli::{take_threads, THREADS_ENV_VAR};
 
 fn main() -> Result<(), spnerf::Error> {
     let mut args: Vec<String> = std::env::args().collect();
     // Strips the flag (and its value), so positional parsing below is
     // unaffected by where `--threads` appears.
-    let threads = take_threads_args(&mut args).unwrap_or(1);
+    let env = std::env::var(THREADS_ENV_VAR).ok();
+    let threads = match take_threads(&mut args, env.as_deref()) {
+        Ok(threads) => threads.unwrap_or(1),
+        Err(e) => {
+            eprintln!("render_scene: {e}");
+            std::process::exit(2);
+        }
+    };
     let scene_id = args.get(1).map(|s| scene_by_name(s)).transpose()?.unwrap_or(SceneId::Lego);
     let side: u32 = args.get(2).map(|s| s.parse()).transpose()?.unwrap_or(72);
     let image: u32 = args.get(3).map(|s| s.parse()).transpose()?.unwrap_or(96);

@@ -71,7 +71,7 @@ use spnerf_render::camera::PinholeCamera;
 use spnerf_render::eval::PsnrStats;
 use spnerf_render::image::ImageBuffer;
 use spnerf_render::mlp::{DeferredMlp, Mlp};
-use spnerf_render::renderer::{render_view_shaded, RenderConfig, RenderStats, Shader, SkipMode};
+use spnerf_render::renderer::{render_view, RenderConfig, RenderStats, Shader, SkipMode};
 use spnerf_render::scene::{build_grid, scene_aabb, SceneId};
 use spnerf_render::source::{support_bitmap, VoxelSource, WithOccupancy};
 use spnerf_voxel::baked::BakedGrid;
@@ -322,14 +322,6 @@ impl PipelineBuilder {
     /// configuration — the one-liner for "same pipeline, skipping on".
     pub fn skip_mode(mut self, mode: SkipMode) -> Self {
         self.render.skip_mode = mode;
-        self
-    }
-
-    /// Sets only the ray-packet size of the inherited render configuration
-    /// — the one-liner for "same pipeline, packeted marching". Outputs are
-    /// bitwise-identical at every packet size.
-    pub fn packet_size(mut self, packet_size: usize) -> Self {
-        self.render.packet_size = packet_size;
         self
     }
 
@@ -732,8 +724,8 @@ struct CachedRender {
 
 /// Serves typed [`RenderRequest`]s against a [`Scene`].
 ///
-/// Renders go through [`spnerf_render::renderer::render_view`] — the tile
-/// engine honoring [`RenderConfig::parallelism`] — and are memoized per
+/// Renders go through [`spnerf_render::renderer::render_view`] — the frame
+/// renderer honoring [`RenderConfig::parallelism`] — and are memoized per
 /// `(source, camera)`, so a reference that several requests compare against
 /// is rendered once. Responses are bitwise-identical whether they were
 /// served from the cache or rendered fresh.
@@ -880,9 +872,9 @@ impl RenderSession<'_> {
         let aabb = scene_aabb();
         if self.cfg.skip_mode.is_on() {
             let mip = self.scene.occupancy_mip(source);
-            render_view_shaded(&WithOccupancy::new(data, mip), shader, cam, &aabb, &self.cfg)
+            render_view(&WithOccupancy::new(data, mip), shader, cam, &aabb, &self.cfg)
         } else {
-            render_view_shaded(&data, shader, cam, &aabb, &self.cfg)
+            render_view(&data, shader, cam, &aabb, &self.cfg)
         }
     }
 }

@@ -25,7 +25,7 @@
 //! Trajectory rendering inherits every exactness rule of the render crate:
 //! [`ReuseMode::Off`] is bitwise-identical to a loop of independent
 //! per-frame renders, and warped frames are bitwise-reproducible across
-//! thread counts, tile sizes, and packet sizes. The one new piece of shared
+//! thread counts and tile sizes. The one new piece of shared
 //! state — the [`TemporalCache`] — is keyed per [`RenderSource`] and is
 //! **invalidated** (fresh, empty cache) by every scene respecialization
 //! ([`Scene::with_spnerf`](crate::pipeline::Scene::with_spnerf), [`Scene::with_sparse_format`](crate::pipeline::Scene::with_sparse_format)): a trajectory

@@ -4,7 +4,7 @@
 use spnerf::core::stats::{alias_stats, mean_decode_error};
 use spnerf::core::{MaskMode, SpNerfModel};
 use spnerf::render::mlp::Mlp;
-use spnerf::render::renderer::{render_view, RenderConfig};
+use spnerf::render::renderer::{render_view, RenderConfig, Shader};
 use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf::voxel::vqrf::VqrfModel;
 use spnerf_testkit::fixtures;
@@ -22,7 +22,7 @@ fn psnr(m: &SpNerfModel, mode: MaskMode, gt: &spnerf::render::ImageBuffer) -> f6
     let cam = default_camera(20, 20, 1, 8);
     let cfg = RenderConfig { samples_per_ray: 40, ..Default::default() };
     let view = m.view(mode);
-    let (img, _) = render_view(&view, &mlp, &cam, &scene_aabb(), &cfg);
+    let (img, _) = render_view(&view, Shader::PerSample(&mlp), &cam, &scene_aabb(), &cfg);
     img.psnr(gt)
 }
 
@@ -31,7 +31,7 @@ fn gt_image(id: SceneId, side: u32) -> spnerf::render::ImageBuffer {
     let mlp = Mlp::random(42);
     let cam = default_camera(20, 20, 1, 8);
     let cfg = RenderConfig { samples_per_ray: 40, ..Default::default() };
-    render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg).0
+    render_view(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &cfg).0
 }
 
 #[test]

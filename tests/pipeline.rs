@@ -3,7 +3,7 @@
 
 use spnerf::core::{MaskMode, SpNerfModel};
 use spnerf::render::mlp::Mlp;
-use spnerf::render::renderer::{render_view, RenderConfig};
+use spnerf::render::renderer::{render_view, RenderConfig, Shader};
 use spnerf::render::scene::{default_camera, scene_aabb, SceneId};
 use spnerf::render::source::VoxelSource;
 use spnerf::voxel::vqrf::VqrfModel;
@@ -35,16 +35,17 @@ fn every_scene_builds_and_masked_decode_support_is_exact() {
 #[test]
 fn quality_ordering_holds_on_every_scene() {
     let mlp = Mlp::random(42);
+    let shader = Shader::PerSample(&mlp);
     let cam = default_camera(20, 20, 1, 8);
     let cfg = RenderConfig { samples_per_ray: 40, ..Default::default() };
     for id in SceneId::all() {
         let (grid, vqrf, model) = fixture(id);
-        let (gt, _) = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
-        let (vq, _) = render_view(&vqrf, &mlp, &cam, &scene_aabb(), &cfg);
+        let (gt, _) = render_view(&grid, shader, &cam, &scene_aabb(), &cfg);
+        let (vq, _) = render_view(&vqrf, shader, &cam, &scene_aabb(), &cfg);
         let masked = model.view(MaskMode::Masked);
-        let (ma, _) = render_view(&masked, &mlp, &cam, &scene_aabb(), &cfg);
+        let (ma, _) = render_view(&masked, shader, &cam, &scene_aabb(), &cfg);
         let unmasked = model.view(MaskMode::Unmasked);
-        let (un, _) = render_view(&unmasked, &mlp, &cam, &scene_aabb(), &cfg);
+        let (un, _) = render_view(&unmasked, shader, &cam, &scene_aabb(), &cfg);
 
         let p_vq = vq.psnr(&gt);
         let p_ma = ma.psnr(&gt);
@@ -86,10 +87,11 @@ fn collision_rate_small_at_test_operating_point() {
 fn masked_render_is_deterministic() {
     let (_, _, model) = fixture(SceneId::Drums);
     let mlp = Mlp::random(42);
+    let shader = Shader::PerSample(&mlp);
     let cam = default_camera(12, 12, 0, 8);
     let cfg = RenderConfig { samples_per_ray: 24, ..Default::default() };
     let view = model.view(MaskMode::Masked);
-    let (a, _) = render_view(&view, &mlp, &cam, &scene_aabb(), &cfg);
-    let (b, _) = render_view(&view, &mlp, &cam, &scene_aabb(), &cfg);
+    let (a, _) = render_view(&view, shader, &cam, &scene_aabb(), &cfg);
+    let (b, _) = render_view(&view, shader, &cam, &scene_aabb(), &cfg);
     assert_eq!(a, b);
 }

@@ -13,7 +13,7 @@ use spnerf::pipeline::{RenderRequest, RenderSource};
 use spnerf::render::bake::bake;
 use spnerf::render::camera::PinholeCamera;
 use spnerf::render::mlp::{DeferredMlp, Mlp};
-use spnerf::render::renderer::{render_view, render_view_shaded, RenderConfig, Shader};
+use spnerf::render::renderer::{render_view, RenderConfig, Shader};
 use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf::voxel::vqrf::{VqrfConfig, VqrfModel};
 use spnerf::Scene;
@@ -48,17 +48,18 @@ fn hand_wired(
     let vqrf = VqrfModel::build(&grid, &vqrf_cfg());
     let model = SpNerfModel::build(&vqrf, &spnerf_cfg()).expect("build succeeds");
     let mlp = Mlp::random(MLP_SEED);
+    let per_sample = Shader::PerSample(&mlp);
     let cfg = render_cfg();
     match source {
-        RenderSource::GroundTruth => render_view(&grid, &mlp, cam, &scene_aabb(), &cfg),
-        RenderSource::Vqrf => render_view(&vqrf, &mlp, cam, &scene_aabb(), &cfg),
+        RenderSource::GroundTruth => render_view(&grid, per_sample, cam, &scene_aabb(), &cfg),
+        RenderSource::Vqrf => render_view(&vqrf, per_sample, cam, &scene_aabb(), &cfg),
         RenderSource::SpNerf { mask } => {
-            render_view(&model.view(mask), &mlp, cam, &scene_aabb(), &cfg)
+            render_view(&model.view(mask), per_sample, cam, &scene_aabb(), &cfg)
         }
         RenderSource::Baked => {
             let baked = bake(&grid, &mlp);
             let deferred = DeferredMlp::random(MLP_SEED);
-            render_view_shaded(&baked, Shader::Deferred(&deferred), cam, &scene_aabb(), &cfg)
+            render_view(&baked, Shader::Deferred(&deferred), cam, &scene_aabb(), &cfg)
         }
     }
 }
@@ -116,8 +117,13 @@ fn respecialized_scene_matches_hand_wired_rebuild() {
     let direct = SpNerfModel::build(&vqrf, &other_cfg).expect("build succeeds");
     let mlp = Mlp::random(MLP_SEED);
     let cam = default_camera(9, 9, 0, 8);
-    let (img, stats) =
-        render_view(&direct.view(MaskMode::Masked), &mlp, &cam, &scene_aabb(), &render_cfg());
+    let (img, stats) = render_view(
+        &direct.view(MaskMode::Masked),
+        Shader::PerSample(&mlp),
+        &cam,
+        &scene_aabb(),
+        &render_cfg(),
+    );
 
     let resp = respecialized
         .session()

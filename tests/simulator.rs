@@ -8,7 +8,7 @@ use spnerf::accel::sim::pipeline::{simulate_frame, ArchConfig, CycleSimulator};
 use spnerf::accel::Bottleneck;
 use spnerf::core::MaskMode;
 use spnerf::render::mlp::Mlp;
-use spnerf::render::renderer::{render_view, RenderConfig};
+use spnerf::render::renderer::{render_view, RenderConfig, Shader};
 use spnerf::render::scene::{default_camera, scene_aabb, SceneId};
 use spnerf_testkit::fixtures;
 
@@ -18,7 +18,7 @@ fn measured_workload(id: SceneId) -> FrameWorkload {
     let cam = default_camera(24, 24, 1, 8);
     let rcfg = RenderConfig { samples_per_ray: 96, ..Default::default() };
     let view = model.view(MaskMode::Masked);
-    let (_, stats) = render_view(&view, &mlp, &cam, &scene_aabb(), &rcfg);
+    let (_, stats) = render_view(&view, Shader::PerSample(&mlp), &cam, &scene_aabb(), &rcfg);
     FrameWorkload::from_render(id.name(), &stats, &model).at_paper_resolution()
 }
 
