@@ -17,10 +17,10 @@ use spnerf::pipeline::{RenderRequest, RenderSource};
 use spnerf::render::image::ImageBuffer;
 use spnerf::render::scene::SceneId;
 use spnerf::Scene;
-use spnerf_bench::{build_scene, camera, mean, print_table, Fidelity};
+use spnerf_bench::{build_scene, camera, cli, mean, print_table, Fidelity};
 
 fn main() -> Result<(), spnerf::Error> {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_args(cli::ABLATION_PREPROCESS);
     println!("Ablation — preprocessing policies (insertion order, density merge)\n");
 
     let variants: [(&str, PreprocessOptions); 4] = [

@@ -7,7 +7,7 @@
 //! 4.79×–5.14× more of their time on memory access than the A100, and
 //! non-zero voxels occupy 2.01 %–6.48 % of the grid.
 //!
-//! With `--corpus` the sweep runs over the testkit's five procedural
+//! With `--corpus` the sweep runs over the corpus's five procedural
 //! archetypes (0.5 %–20 % occupancy) instead of the eight scenes, showing
 //! how the runtime split shifts across the sparsity/structure space.
 //!
@@ -23,15 +23,7 @@ use spnerf_bench::{
 };
 
 fn main() {
-    let args = cli::parse_or_exit();
-    if let Some(flag) = args.serve_flag() {
-        eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-        std::process::exit(2);
-    }
-    if let Some(flag) = args.temporal_flag() {
-        eprintln!("{flag}: this binary does not render trajectories (see fig9_temporal)");
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit(cli::FIG2_PROFILING);
     let fid = Fidelity::from_cli(&args);
     let sweep = if args.corpus { "corpus archetypes" } else { "Synthetic-NeRF scenes" };
     println!(

@@ -2,7 +2,7 @@
 //! over the restored VQRF grid (paper: 21.07× average) and (b) PSNR of
 //! VQRF vs SpNeRF before/after bitmap masking.
 //!
-//! With `--corpus` the sweep runs over the testkit's five procedural
+//! With `--corpus` the sweep runs over the corpus's five procedural
 //! archetypes instead of the eight scenes, so the reduction factor and the
 //! masking gain can be read across the whole sparsity/structure space.
 //!
@@ -16,15 +16,7 @@ use spnerf_bench::{
 };
 
 fn main() {
-    let args = cli::parse_or_exit();
-    if let Some(flag) = args.serve_flag() {
-        eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-        std::process::exit(2);
-    }
-    if let Some(flag) = args.temporal_flag() {
-        eprintln!("{flag}: this binary does not render trajectories (see fig9_temporal)");
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit(cli::FIG6_MEMORY_PSNR);
     let fid = Fidelity::from_cli(&args);
     let sweep = if args.corpus { "corpus archetypes" } else { "Synthetic-NeRF scenes" };
     println!("Fig. 6 — memory size reduction and PSNR ({sweep})\n");

@@ -17,10 +17,10 @@ use spnerf::pipeline::{RenderRequest, RenderSource};
 use spnerf::render::image::ImageBuffer;
 use spnerf::render::scene::SceneId;
 use spnerf::Scene;
-use spnerf_bench::{build_scene, camera, mean, print_table, Fidelity, SpNerfConfig};
+use spnerf_bench::{build_scene, camera, cli, mean, print_table, Fidelity, SpNerfConfig};
 
 fn main() -> Result<(), spnerf::Error> {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_args(cli::FIG7_SWEEPS);
     let quick = fid.grid_side.is_some();
     println!("Fig. 7 — PSNR vs subgrid number and hash-table size\n");
 

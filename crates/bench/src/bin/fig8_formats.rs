@@ -24,15 +24,7 @@ use spnerf::voxel::sparse::{
 use spnerf_bench::{build_sweep_scene, camera, cli, print_table, sweep_items, Fidelity};
 
 fn main() {
-    let args = cli::parse_or_exit();
-    if let Some(flag) = args.serve_flag() {
-        eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-        std::process::exit(2);
-    }
-    if let Some(flag) = args.temporal_flag() {
-        eprintln!("{flag}: this binary does not render trajectories (see fig9_temporal)");
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit(cli::FIG8_FORMATS);
     let fid = Fidelity::from_cli(&args);
     let arch = ArchConfig::default();
     let sweep = if args.corpus { "corpus archetypes" } else { "Synthetic-NeRF scenes" };

@@ -16,10 +16,10 @@ use spnerf::platforms::roofline::estimate_frame;
 use spnerf::platforms::spec::PlatformSpec;
 use spnerf::platforms::vqrf_workload::VqrfGpuWorkload;
 use spnerf::render::scene::SceneId;
-use spnerf_bench::{build_scene, evaluate_scene, mean, print_table, Fidelity};
+use spnerf_bench::{build_scene, cli, evaluate_scene, mean, print_table, Fidelity};
 
 fn main() {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_args(cli::FIG8_SPEEDUP_ENERGY);
     let arch = ArchConfig::default();
     let energy = EnergyParams::default();
     let xnx = PlatformSpec::xnx();

@@ -12,10 +12,10 @@ use spnerf::accel::asic::{sram_bytes, sram_inventory, AreaModel, EnergyParams, M
 use spnerf::accel::sim::pipeline::{simulate_frame, ArchConfig};
 use spnerf::render::scene::SceneId;
 use spnerf::voxel::memory::format_bytes;
-use spnerf_bench::{build_scene, evaluate_scene, print_table, Fidelity};
+use spnerf_bench::{build_scene, cli, evaluate_scene, print_table, Fidelity};
 
 fn main() {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_args(cli::FIG9_AREA_POWER);
     let arch = ArchConfig::default();
 
     println!("Fig. 9 — area and power of SpNeRF\n");

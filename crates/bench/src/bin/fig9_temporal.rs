@@ -32,11 +32,7 @@ use spnerf_bench::{build_sweep_scene, cli, print_table, sweep_items, Fidelity, S
 const FRAMES: usize = 8;
 
 fn main() {
-    let args = cli::parse_or_exit();
-    if let Some(flag) = args.serve_flag() {
-        eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit(cli::FIG9_TEMPORAL);
     let fid = Fidelity::from_cli(&args);
     let arch = ArchConfig::default();
     let source = match fid.source {

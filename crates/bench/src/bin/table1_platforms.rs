@@ -8,9 +8,9 @@ use spnerf::platforms::spec::PlatformSpec;
 use spnerf_bench::{cli, print_table};
 
 fn main() {
-    // Table I is static, but the strict shared CLI surface still applies:
-    // `--help` works and typos are rejected instead of ignored.
-    let _ = cli::parse_or_exit();
+    // Table I is static, but the strict CLI still applies: `--help` works,
+    // and typos and other binaries' flags are rejected instead of ignored.
+    let _ = cli::parse_or_exit(cli::TABLE1_PLATFORMS);
     println!("Table I: A summary of profiling computing platforms\n");
     let rows: Vec<Vec<String>> = PlatformSpec::all()
         .iter()

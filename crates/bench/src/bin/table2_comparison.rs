@@ -15,10 +15,10 @@ use spnerf::accel::asic::{summarize, AreaModel, EnergyParams};
 use spnerf::accel::sim::pipeline::{simulate_frame, ArchConfig};
 use spnerf::platforms::accelerators::AcceleratorSpec;
 use spnerf::render::scene::SceneId;
-use spnerf_bench::{build_scene, evaluate_scene, print_table, Fidelity};
+use spnerf_bench::{build_scene, cli, evaluate_scene, print_table, Fidelity};
 
 fn main() {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_args(cli::TABLE2_COMPARISON);
     let arch = ArchConfig::default();
 
     // Simulate all scenes to get the average operating point.

@@ -1,17 +1,19 @@
-//! Strict shared CLI parsing for the figure/table binaries.
+//! The figure/table binaries' flags, on the [`spnerf::cli`] grammar.
 //!
-//! Every binary in `src/bin/` accepts the same surface — `--quick`,
-//! `--threads N` (or `--threads=N`), `--help`/`-h` — and **rejects anything
-//! else**. This matches the criterion shim's philosophy: a misspelled flag
-//! that is silently ignored makes a figure run at the wrong fidelity while
-//! looking successful, which is strictly worse than failing loudly.
+//! Every binary in `src/bin/` declares the flags it reads — one of the
+//! per-binary lists below, always including [`QUICK`] and [`THREADS`] so
+//! one command line drives every figure — and every other flag is an
+//! [`ArgError::UnknownFlag`] (exit 2 with usage), exactly like a typo. A
+//! flag the binary would silently ignore makes a figure run at the wrong
+//! settings while looking successful, which is strictly worse than failing
+//! loudly. The lists are pinned by this module's tests: a flag belongs to a
+//! binary only if it changes that binary's output or the work it runs.
 //!
 //! [`parse`] is the pure, testable core; [`parse_or_exit`] is the binary
-//! entry point that prints usage / errors and applies the `SPNERF_THREADS`
-//! environment fallback. [`take_threads`] is the one owner of the
-//! `--threads` / `SPNERF_THREADS` grammar: both of the above and the
-//! facade's positional examples go through it.
+//! entry point (usage on `--help`, exit 2 on errors, the `SPNERF_THREADS`
+//! fallback) through [`spnerf::cli::parse_or_exit`].
 
+use spnerf::cli::{split_flags, ArgError, Flag, QUICK, SKIP_MODE, THREADS};
 use spnerf::render::renderer::SkipMode;
 use spnerf::render::temporal::{ReuseMode, TrajectorySpec};
 use spnerf::voxel::sparse::{FormatKind, FormatSelection};
@@ -75,19 +77,80 @@ impl TrajectoryKind {
     }
 }
 
-/// Parsed harness arguments.
-///
-/// Not `Copy`/`Eq`: the serve surface carries a replay path (`String`) and
-/// a Zipf exponent (`f64`).
+/// `--corpus`: sweep the five procedural archetypes instead of the eight
+/// scenes.
+pub const CORPUS: Flag = Flag {
+    name: "--corpus",
+    value: None,
+    help: "sweep the 5 procedural corpus archetypes instead of the 8 scenes",
+};
+
+/// `--source spnerf|baked`: the primary data path ([`SourceMode`]).
+pub const SOURCE: Flag = Flag {
+    name: "--source",
+    value: Some("MODE"),
+    help: "primary data path: spnerf (default) or baked — the bake-and-defer\n\
+           path whose small view MLP runs once per pixel, not per sample",
+};
+
+/// `--sparse-format auto|bitmap|coo|csr|csc|rank|block`: the occupancy-index
+/// encoding.
+pub const SPARSE_FORMAT: Flag = Flag {
+    name: "--sparse-format",
+    value: Some("F"),
+    help: "sparse occupancy-index encoding: auto (default), bitmap, coo,\n\
+           csr, csc, rank, or block; images are identical in every format",
+};
+
+/// `--trajectory orbit|dolly|jitter`: one camera path ([`TrajectoryKind`]).
+pub const TRAJECTORY: Flag = Flag {
+    name: "--trajectory",
+    value: Some("PATH"),
+    help: "camera path to sweep: orbit, dolly, or jitter (default: all three)",
+};
+
+/// `--reuse-mode off|warp`: one frame-to-frame reuse policy.
+pub const REUSE_MODE: Flag = Flag {
+    name: "--reuse-mode",
+    value: Some("MODE"),
+    help: "frame-to-frame reuse: off or warp (default: both, plus the\n\
+           amortization ratio)",
+};
+
+/// `table1_platforms` prints a static table.
+pub const TABLE1_PLATFORMS: &[Flag] = &[QUICK, THREADS];
+/// `fig2_profiling`: its workload columns move with skipping and the
+/// source, its rows with the sweep.
+pub const FIG2_PROFILING: &[Flag] = &[QUICK, THREADS, SKIP_MODE, CORPUS, SOURCE];
+/// `fig6_memory_psnr` prints footprints and PSNRs only.
+pub const FIG6_MEMORY_PSNR: &[Flag] = &[QUICK, THREADS, SKIP_MODE, CORPUS];
+/// `fig7_sweeps` prints PSNRs of the dataset scenes only.
+pub const FIG7_SWEEPS: &[Flag] = &[QUICK, THREADS, SKIP_MODE];
+/// `fig8_speedup_energy` simulates the primary workload, format traffic
+/// included.
+pub const FIG8_SPEEDUP_ENERGY: &[Flag] = &[QUICK, THREADS, SKIP_MODE, SOURCE, SPARSE_FORMAT];
+/// `fig8_formats` always replays the masked SpNeRF workload.
+pub const FIG8_FORMATS: &[Flag] = &[QUICK, THREADS, SKIP_MODE, CORPUS, SPARSE_FORMAT];
+/// `fig9_area_power` simulates the primary lego workload.
+pub const FIG9_AREA_POWER: &[Flag] = &[QUICK, THREADS, SKIP_MODE, SOURCE, SPARSE_FORMAT];
+/// `fig9_temporal`, the only binary that renders camera paths.
+pub const FIG9_TEMPORAL: &[Flag] =
+    &[QUICK, THREADS, SKIP_MODE, CORPUS, SOURCE, SPARSE_FORMAT, TRAJECTORY, REUSE_MODE];
+/// `table2_comparison` simulates the primary workload of every scene.
+pub const TABLE2_COMPARISON: &[Flag] = &[QUICK, THREADS, SKIP_MODE, SOURCE, SPARSE_FORMAT];
+/// `ablation_preprocess` prints PSNRs and collision counts only.
+pub const ABLATION_PREPROCESS: &[Flag] = &[QUICK, THREADS, SKIP_MODE];
+
+/// Parsed harness arguments; a flag the binary does not declare never
+/// gets here, so every field is at its default unless the binary reads it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HarnessArgs {
     /// `--quick`: reduced-fidelity preset.
     pub quick: bool,
     /// `--threads N` / `--threads=N`: render worker count (`0` = all cores).
     pub threads: Option<usize>,
-    /// `--corpus`: sweep the testkit's five procedural archetypes instead
-    /// of the eight Synthetic-NeRF scenes (supported by the bins that sweep
-    /// scenes; the others reject the flag).
+    /// `--corpus`: sweep the five procedural archetypes instead of the
+    /// eight Synthetic-NeRF scenes.
     pub corpus: bool,
     /// `--skip-mode off|mip|mip:N`: empty-space skipping policy. Images are
     /// bitwise-identical in every mode; `mip` drops marched samples (and
@@ -103,692 +166,256 @@ pub struct HarnessArgs {
     /// selector). Images are bitwise-identical in every format; the choice
     /// moves per-lookup metadata traffic and resident bytes.
     pub sparse_format: FormatSelection,
-    /// `--seed N` / `--seed=N`: traffic-generator seed (`spnerf_serve`;
-    /// other binaries reject it via [`HarnessArgs::serve_flag`]).
-    pub seed: Option<u64>,
-    /// `--duration-ticks N`: virtual-clock horizon of a serve run — arrivals
-    /// after tick `N` are not generated.
-    pub duration_ticks: Option<u64>,
-    /// `--cache-bytes N`: byte budget of the serve scene cache.
-    pub cache_bytes: Option<usize>,
-    /// `--replay FILE`: serve a recorded traffic trace instead of
-    /// synthesizing one (the seed then only matters for trace synthesis,
-    /// not service).
-    pub replay: Option<String>,
-    /// `--zipf-s S`: Zipf popularity exponent of the synthetic traffic
-    /// (`0` = uniform; larger skews toward the head scenes).
-    pub zipf_s: Option<f64>,
     /// `--trajectory orbit|dolly|jitter`: restrict `fig9_temporal` to one
-    /// deterministic camera path (default: sweep all three). Other binaries
-    /// reject it via [`HarnessArgs::temporal_flag`].
+    /// deterministic camera path (default: sweep all three).
     pub trajectory: Option<TrajectoryKind>,
     /// `--reuse-mode off|warp`: restrict `fig9_temporal` to one
     /// frame-to-frame reuse policy (default: measure both and report the
-    /// amortization ratio). Other binaries reject it via
-    /// [`HarnessArgs::temporal_flag`].
+    /// amortization ratio).
     pub reuse_mode: Option<ReuseMode>,
-    /// `--help` / `-h` was requested.
-    pub help: bool,
 }
 
-impl HarnessArgs {
-    /// The first serve-only flag present, if any — binaries outside
-    /// `spnerf_serve` call this to reject the serve surface with exit 2,
-    /// exactly as [`crate::Fidelity::from_args`] rejects `--corpus` on
-    /// binaries that do not sweep scenes.
-    pub fn serve_flag(&self) -> Option<&'static str> {
-        if self.seed.is_some() {
-            Some("--seed")
-        } else if self.duration_ticks.is_some() {
-            Some("--duration-ticks")
-        } else if self.cache_bytes.is_some() {
-            Some("--cache-bytes")
-        } else if self.replay.is_some() {
-            Some("--replay")
-        } else if self.zipf_s.is_some() {
-            Some("--zipf-s")
-        } else {
-            None
-        }
-    }
-
-    /// The first temporal-only flag present, if any — binaries other than
-    /// `fig9_temporal` call this to reject the trajectory surface with
-    /// exit 2, exactly as [`HarnessArgs::serve_flag`] fences the serve
-    /// surface.
-    pub fn temporal_flag(&self) -> Option<&'static str> {
-        if self.trajectory.is_some() {
-            Some("--trajectory")
-        } else if self.reuse_mode.is_some() {
-            Some("--reuse-mode")
-        } else {
-            None
-        }
-    }
-}
-
-/// A rejected command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgError {
-    /// A `-`/`--` token no binary accepts.
-    UnknownFlag(String),
-    /// A bare positional argument (the harnesses take none).
-    UnexpectedPositional(String),
-    /// `--threads` / `--skip-mode` / `--source` (or any other valued flag)
-    /// without a value.
-    MissingValue(&'static str),
-    /// A flag value that failed to parse.
-    BadValue {
-        /// The flag (or environment variable) the value belonged to.
-        flag: &'static str,
-        /// The offending token.
-        value: String,
-    },
-    /// A well-formed count above the limit its consumer can size work for.
-    TooLarge {
-        /// The flag the value belonged to.
-        flag: &'static str,
-        /// The offending value.
-        value: u64,
-        /// The largest accepted value.
-        max: u64,
-    },
-}
-
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArgError::UnknownFlag(a) => write!(f, "unrecognized flag `{a}`"),
-            ArgError::UnexpectedPositional(a) => write!(f, "unexpected argument `{a}`"),
-            ArgError::MissingValue(flag) => write!(f, "{flag} requires a value"),
-            ArgError::BadValue { flag, value } => {
-                write!(f, "{flag}: invalid value `{value}`")
-            }
-            ArgError::TooLarge { flag, value, max } => {
-                write!(f, "{flag}: {value} is above the limit of {max}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ArgError {}
-
-/// The usage text every harness binary prints for `--help` and on errors.
-pub fn usage(bin: &str) -> String {
-    format!(
-        "usage: {bin} [--quick] [--threads N] [--corpus] [--skip-mode MODE] [--source MODE]\n\
-         \x20          [--sparse-format F] [--seed N] [--duration-ticks N] [--cache-bytes N] [--replay FILE]\n\
-         \x20          [--zipf-s S] [--trajectory PATH] [--reuse-mode MODE] [--help]\n\
-         \n\
-         options:\n\
-         \x20 --quick            run the reduced-fidelity preset (seconds instead of minutes)\n\
-         \x20 --threads N        render worker threads; 0 = all cores (also: {THREADS_ENV_VAR} env var)\n\
-         \x20 --corpus           sweep the 5 procedural testkit archetypes instead of the 8 scenes\n\
-         \x20                    (scene-sweeping binaries only)\n\
-         \x20 --skip-mode MODE   empty-space skipping: off (default), mip, or mip:N to cap the\n\
-         \x20                    coarsest pyramid level at N; images are identical in every mode\n\
-         \x20 --source MODE      primary data path: spnerf (default) or baked — the bake-and-defer\n\
-         \x20                    path whose small view MLP runs once per pixel, not per sample\n\
-         \x20 --sparse-format F  sparse occupancy-index encoding: auto (default), bitmap, coo,\n\
-         \x20                    csr, csc, rank, or block; images are identical in every format\n\
-         \x20 --seed N           traffic-generator seed (spnerf_serve only)\n\
-         \x20 --duration-ticks N virtual-clock horizon of the serve run (spnerf_serve only)\n\
-         \x20 --cache-bytes N    byte budget of the serve scene cache (spnerf_serve only)\n\
-         \x20 --replay FILE      serve a recorded traffic trace instead of synthesizing one\n\
-         \x20                    (spnerf_serve only)\n\
-         \x20 --zipf-s S         Zipf scene-popularity exponent, 0 = uniform (spnerf_serve only)\n\
-         \x20 --trajectory PATH  camera path to sweep: orbit, dolly, or jitter\n\
-         \x20                    (fig9_temporal only; default sweeps all three)\n\
-         \x20 --reuse-mode MODE  frame-to-frame reuse: off or warp (fig9_temporal only;\n\
-         \x20                    default measures both and reports the amortization ratio)\n\
-         \x20 -h, --help         print this help\n\
-         \n\
-         Outputs are bitwise-identical at every thread count and skip mode."
-    )
-}
-
-/// Environment variable that sets the render worker count when no
-/// `--threads` flag is given.
-pub const THREADS_ENV_VAR: &str = "SPNERF_THREADS";
-
-/// Removes every `--threads N` / `--threads=N` token from `args` and returns
-/// the render worker count they set (`0` = all cores; the last flag wins,
-/// like every flag on the surface). Without a flag, falls back to `env`,
-/// the value of [`THREADS_ENV_VAR`] — passed in, so the grammar stays pure.
+/// Parses harness arguments (without the leading program name) against
+/// the `flags` a binary declares. Pure: never consults the environment or
+/// exits; `--help` is accepted and ignored here ([`parse_or_exit`] acts on
+/// it).
 ///
 /// # Errors
 ///
-/// [`ArgError::MissingValue`] for a trailing `--threads`, and
-/// [`ArgError::BadValue`] naming the flag or the variable for a value that
-/// is not a non-negative integer.
-pub fn take_threads(args: &mut Vec<String>, env: Option<&str>) -> Result<Option<usize>, ArgError> {
-    let count = |flag: &'static str, v: &str| {
-        v.parse::<usize>().map_err(|_| ArgError::BadValue { flag, value: v.to_string() })
-    };
-    let mut threads = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            let v = args.get(i + 1).ok_or(ArgError::MissingValue("--threads"))?;
-            threads = Some(count("--threads", v)?);
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--threads=") {
-            threads = Some(count("--threads", v)?);
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    match (threads, env) {
-        (None, Some(v)) => count(THREADS_ENV_VAR, v).map(Some),
-        _ => Ok(threads),
-    }
-}
-
-/// Parses harness arguments (without the leading program name), rejecting
-/// anything outside the shared surface. Pure: never consults the
-/// environment or exits.
-///
-/// # Errors
-///
-/// Returns [`ArgError`] for unknown flags, positionals, and missing or
-/// malformed `--threads` values.
-pub fn parse(args: &[String]) -> Result<HarnessArgs, ArgError> {
-    let parse_source = |v: &str| match v {
-        "spnerf" => Ok(SourceMode::SpNerf),
-        "baked" => Ok(SourceMode::Baked),
-        _ => Err(ArgError::BadValue { flag: "--source", value: v.to_string() }),
-    };
-    let parse_sparse = |v: &str| match v {
-        "auto" => Ok(FormatSelection::Auto),
-        _ => FormatKind::from_name(v)
-            .map(FormatSelection::Fixed)
-            .ok_or(ArgError::BadValue { flag: "--sparse-format", value: v.to_string() }),
-    };
-    let parse_seed = |v: &str| {
-        v.parse::<u64>().map_err(|_| ArgError::BadValue { flag: "--seed", value: v.to_string() })
-    };
-    let parse_ticks = |v: &str| {
-        // A zero-tick run would emit a report over an empty sample set;
-        // reject it at the surface instead of panicking in a percentile.
-        match v.parse::<u64>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(ArgError::BadValue { flag: "--duration-ticks", value: v.to_string() }),
-        }
-    };
-    let parse_cache = |v: &str| {
-        v.parse::<usize>()
-            .map_err(|_| ArgError::BadValue { flag: "--cache-bytes", value: v.to_string() })
-    };
-    let parse_zipf = |v: &str| match v.parse::<f64>() {
-        Ok(s) if s.is_finite() && s >= 0.0 => Ok(s),
-        _ => Err(ArgError::BadValue { flag: "--zipf-s", value: v.to_string() }),
-    };
-    let parse_trajectory = |v: &str| {
-        TrajectoryKind::ALL
-            .into_iter()
-            .find(|k| k.name() == v)
-            .ok_or(ArgError::BadValue { flag: "--trajectory", value: v.to_string() })
-    };
-    let parse_reuse = |v: &str| match v {
-        "off" => Ok(ReuseMode::Off),
-        "warp" => Ok(ReuseMode::warp()),
-        _ => Err(ArgError::BadValue { flag: "--reuse-mode", value: v.to_string() }),
-    };
-    let parse_skip = |v: &str| match v {
-        "off" => Ok(SkipMode::Off),
-        "mip" => Ok(SkipMode::mip()),
-        _ => v
-            .strip_prefix("mip:")
-            .and_then(|n| n.parse::<usize>().ok())
-            .map(|levels| SkipMode::Mip { levels })
-            .ok_or(ArgError::BadValue { flag: "--skip-mode", value: v.to_string() }),
-    };
+/// Returns [`ArgError`] for undeclared flags, positionals, and missing or
+/// malformed values.
+pub fn parse(args: &[String], flags: &[Flag]) -> Result<HarnessArgs, ArgError> {
+    let bad = |flag: &'static str, v: &str| ArgError::BadValue { flag, value: v.to_string() };
     let mut args = args.to_vec();
-    let mut out = HarnessArgs { threads: take_threads(&mut args, None)?, ..Default::default() };
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        match a {
+    let mut out =
+        HarnessArgs { threads: spnerf::cli::take_threads(&mut args, None)?, ..Default::default() };
+    for (flag, v) in split_flags(&args, flags)? {
+        match flag {
             "--quick" => out.quick = true,
             "--corpus" => out.corpus = true,
-            "--help" | "-h" => out.help = true,
-            "--skip-mode" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--skip-mode"))?;
-                out.skip_mode = parse_skip(v)?;
-                i += 1;
-            }
-            _ if a.starts_with("--skip-mode=") => {
-                out.skip_mode = parse_skip(&a["--skip-mode=".len()..])?;
-            }
+            "--skip-mode" => out.skip_mode = spnerf::cli::parse_skip_mode(v)?,
             "--source" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--source"))?;
-                out.source = parse_source(v)?;
-                i += 1;
-            }
-            _ if a.starts_with("--source=") => {
-                out.source = parse_source(&a["--source=".len()..])?;
+                out.source = match v {
+                    "spnerf" => SourceMode::SpNerf,
+                    "baked" => SourceMode::Baked,
+                    _ => return Err(bad(flag, v)),
+                }
             }
             "--sparse-format" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--sparse-format"))?;
-                out.sparse_format = parse_sparse(v)?;
-                i += 1;
-            }
-            _ if a.starts_with("--sparse-format=") => {
-                out.sparse_format = parse_sparse(&a["--sparse-format=".len()..])?;
-            }
-            "--seed" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--seed"))?;
-                out.seed = Some(parse_seed(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--seed=") => {
-                out.seed = Some(parse_seed(&a["--seed=".len()..])?);
-            }
-            "--duration-ticks" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--duration-ticks"))?;
-                out.duration_ticks = Some(parse_ticks(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--duration-ticks=") => {
-                out.duration_ticks = Some(parse_ticks(&a["--duration-ticks=".len()..])?);
-            }
-            "--cache-bytes" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--cache-bytes"))?;
-                out.cache_bytes = Some(parse_cache(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--cache-bytes=") => {
-                out.cache_bytes = Some(parse_cache(&a["--cache-bytes=".len()..])?);
-            }
-            "--replay" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--replay"))?;
-                out.replay = Some(v.clone());
-                i += 1;
-            }
-            _ if a.starts_with("--replay=") => {
-                let v = &a["--replay=".len()..];
-                if v.is_empty() {
-                    return Err(ArgError::MissingValue("--replay"));
+                out.sparse_format = match v {
+                    "auto" => FormatSelection::Auto,
+                    _ => FormatKind::from_name(v)
+                        .map(FormatSelection::Fixed)
+                        .ok_or_else(|| bad(flag, v))?,
                 }
-                out.replay = Some(v.to_string());
-            }
-            "--zipf-s" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--zipf-s"))?;
-                out.zipf_s = Some(parse_zipf(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--zipf-s=") => {
-                out.zipf_s = Some(parse_zipf(&a["--zipf-s=".len()..])?);
             }
             "--trajectory" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--trajectory"))?;
-                out.trajectory = Some(parse_trajectory(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--trajectory=") => {
-                out.trajectory = Some(parse_trajectory(&a["--trajectory=".len()..])?);
+                let kind = TrajectoryKind::ALL.into_iter().find(|k| k.name() == v);
+                out.trajectory = Some(kind.ok_or_else(|| bad(flag, v))?);
             }
             "--reuse-mode" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--reuse-mode"))?;
-                out.reuse_mode = Some(parse_reuse(v)?);
-                i += 1;
+                out.reuse_mode = Some(match v {
+                    "off" => ReuseMode::Off,
+                    "warp" => ReuseMode::warp(),
+                    _ => return Err(bad(flag, v)),
+                })
             }
-            _ if a.starts_with("--reuse-mode=") => {
-                out.reuse_mode = Some(parse_reuse(&a["--reuse-mode=".len()..])?);
-            }
-            _ if a.starts_with('-') => return Err(ArgError::UnknownFlag(a.to_string())),
-            _ => return Err(ArgError::UnexpectedPositional(a.to_string())),
+            _ => {} // `--help`
         }
-        i += 1;
     }
     Ok(out)
 }
 
-/// Parses the process arguments strictly. `--help` prints usage and exits 0;
-/// a parse error — a malformed `SPNERF_THREADS` included — prints the error
-/// plus usage to stderr and exits 2. When no `--threads` flag is given,
-/// falls back to the `SPNERF_THREADS` environment variable.
-pub fn parse_or_exit() -> HarnessArgs {
-    let mut argv: Vec<String> = std::env::args().collect();
-    let bin = argv
-        .first()
-        .map(|p| p.rsplit(['/', '\\']).next().unwrap_or(p).to_string())
-        .unwrap_or_else(|| "harness".to_string());
-    let env = std::env::var(THREADS_ENV_VAR).ok();
-    let parsed = take_threads(&mut argv, env.as_deref())
-        .and_then(|threads| Ok(HarnessArgs { threads, ..parse(&argv[1..])? }));
-    let parsed = match parsed {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{bin}: {e}\n\n{}", usage(&bin));
-            std::process::exit(2);
-        }
-    };
-    if parsed.help {
-        println!("{}", usage(&bin));
-        std::process::exit(0);
-    }
-    parsed
+/// Parses the process arguments of a binary that declares `flags`:
+/// `--help` prints usage and exits 0, a parse error exits 2, and without a
+/// `--threads` flag the `SPNERF_THREADS` environment variable applies.
+pub fn parse_or_exit(flags: &[Flag]) -> HarnessArgs {
+    spnerf::cli::parse_or_exit(flags, |args, threads| {
+        Ok(HarnessArgs { threads, ..parse(args, flags)? })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every flag any figure binary reads.
+    const ALL: &[Flag] = FIG9_TEMPORAL;
+
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
     }
 
+    /// [`parse`] over every figure flag.
+    fn parse_all(s: &[&str]) -> Result<HarnessArgs, ArgError> {
+        parse(&args(s), ALL)
+    }
+
+    /// Asserts `flag` parses each good value in both token forms and
+    /// rejects each bad one as [`ArgError::BadValue`].
+    fn check_values<T: PartialEq + std::fmt::Debug>(
+        flag: &'static str,
+        field: impl Fn(HarnessArgs) -> T,
+        good: &[(&str, T)],
+        bad: &[&str],
+    ) {
+        for (v, expected) in good {
+            assert_eq!(parse_all(&[flag, v]).map(&field).as_ref(), Ok(expected), "{flag} {v}");
+            let eq_form = format!("{flag}={v}");
+            assert_eq!(parse_all(&[&eq_form]).map(&field).as_ref(), Ok(expected), "{eq_form}");
+        }
+        for v in bad {
+            let err = ArgError::BadValue { flag, value: v.to_string() };
+            assert_eq!(parse_all(&[flag, v]), Err(err), "`{flag} {v}` must be rejected");
+        }
+        assert_eq!(parse_all(&[flag]), Err(ArgError::MissingValue(flag)));
+    }
+
     #[test]
     fn accepts_the_shared_surface() {
-        assert_eq!(parse(&args(&[])), Ok(HarnessArgs::default()));
+        assert_eq!(parse_all(&[]), Ok(HarnessArgs::default()));
         assert_eq!(
-            parse(&args(&["--quick"])),
-            Ok(HarnessArgs { quick: true, ..Default::default() })
+            parse_all(&["--corpus", "--quick", "--threads", "4"]),
+            Ok(HarnessArgs { quick: true, corpus: true, threads: Some(4), ..Default::default() })
         );
-        assert_eq!(
-            parse(&args(&["--quick", "--threads", "4"])),
-            Ok(HarnessArgs { quick: true, threads: Some(4), ..Default::default() })
-        );
-        assert_eq!(
-            parse(&args(&["--corpus", "--quick"])),
-            Ok(HarnessArgs { quick: true, corpus: true, ..Default::default() })
-        );
-        assert_eq!(
-            parse(&args(&["--threads=0"])),
-            Ok(HarnessArgs { threads: Some(0), ..Default::default() })
-        );
-        assert_eq!(parse(&args(&["-h"])), Ok(HarnessArgs { help: true, ..Default::default() }));
+        assert_eq!(parse_all(&["--threads=0"]).map(|a| a.threads), Ok(Some(0)));
+        // `--help` is accepted everywhere; the entry point acts on it.
+        for bin in [TABLE1_PLATFORMS, FIG7_SWEEPS] {
+            assert_eq!(parse(&args(&["--quick", "-h", "--help"]), bin).map(|a| a.quick), Ok(true));
+        }
+    }
+
+    #[test]
+    fn each_binary_accepts_exactly_the_flags_it_reads() {
+        let sample = |flag: &Flag| match flag.value {
+            Some(_) => {
+                let v = match flag.name {
+                    "--skip-mode" => "mip",
+                    "--source" => "baked",
+                    "--sparse-format" => "coo",
+                    "--trajectory" => "orbit",
+                    "--reuse-mode" => "warp",
+                    _ => "2",
+                };
+                args(&[flag.name, v])
+            }
+            None => args(&[flag.name]),
+        };
+        let bins = [
+            TABLE1_PLATFORMS,
+            FIG2_PROFILING,
+            FIG6_MEMORY_PSNR,
+            FIG7_SWEEPS,
+            FIG8_SPEEDUP_ENERGY,
+            FIG8_FORMATS,
+            FIG9_AREA_POWER,
+            FIG9_TEMPORAL,
+            TABLE2_COMPARISON,
+            ABLATION_PREPROCESS,
+        ];
+        for flags in bins {
+            assert!(flags.starts_with(&[QUICK, THREADS]), "every binary takes the shared pair");
+            for flag in ALL {
+                let parsed = parse(&sample(flag), flags);
+                if flags.contains(flag) {
+                    assert!(parsed.is_ok(), "{flags:?} must accept {flag:?}: {parsed:?}");
+                } else {
+                    assert_eq!(parsed, Err(ArgError::UnknownFlag(flag.name.to_string())));
+                }
+            }
+            // The serve surface belongs to `spnerf_serve` alone.
+            for serve in ["--seed", "--duration-ticks", "--cache-bytes", "--replay", "--zipf-s"] {
+                let err = ArgError::UnknownFlag(serve.to_string());
+                assert_eq!(parse(&args(&[serve, "7"]), flags), Err(err));
+            }
+        }
+        // The accepted-and-ignored combinations that used to exit 0: none
+        // of these changes the binary's output.
+        let reads = |flags: &[Flag], flag: Flag| flags.contains(&flag);
+        for flag in [CORPUS, SKIP_MODE, TRAJECTORY] {
+            assert!(!reads(TABLE1_PLATFORMS, flag));
+        }
+        for flags in [FIG6_MEMORY_PSNR, FIG7_SWEEPS, ABLATION_PREPROCESS] {
+            assert!(!reads(flags, SOURCE) && !reads(flags, SPARSE_FORMAT));
+        }
+        assert!(!reads(FIG2_PROFILING, SPARSE_FORMAT) && !reads(FIG8_FORMATS, SOURCE));
+        assert!(bins.iter().filter(|b| reads(b, TRAJECTORY) || reads(b, REUSE_MODE)).count() == 1);
     }
 
     #[test]
     fn skip_mode_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().skip_mode, SkipMode::Off);
-        assert_eq!(parse(&args(&["--skip-mode", "off"])).unwrap().skip_mode, SkipMode::Off);
-        assert_eq!(parse(&args(&["--skip-mode", "mip"])).unwrap().skip_mode, SkipMode::mip());
-        assert_eq!(parse(&args(&["--skip-mode=mip"])).unwrap().skip_mode, SkipMode::mip());
-        assert_eq!(
-            parse(&args(&["--skip-mode", "mip:2"])).unwrap().skip_mode,
-            SkipMode::Mip { levels: 2 }
-        );
-        assert_eq!(
-            parse(&args(&["--skip-mode=mip:0"])).unwrap().skip_mode,
-            SkipMode::Mip { levels: 0 }
-        );
-        assert_eq!(parse(&args(&["--skip-mode"])), Err(ArgError::MissingValue("--skip-mode")));
-        for bad in ["mips", "on", "mip:", "mip:x", ""] {
-            assert_eq!(
-                parse(&args(&["--skip-mode", bad])),
-                Err(ArgError::BadValue { flag: "--skip-mode", value: bad.to_string() }),
-                "`{bad}` must be rejected"
-            );
-        }
+        assert_eq!(parse_all(&[]).unwrap().skip_mode, SkipMode::Off);
+        let good = [
+            ("off", SkipMode::Off),
+            ("mip", SkipMode::mip()),
+            ("mip:2", SkipMode::Mip { levels: 2 }),
+            ("mip:0", SkipMode::Mip { levels: 0 }),
+        ];
+        check_values("--skip-mode", |a| a.skip_mode, &good, &["mips", "on", "mip:", "mip:x", ""]);
     }
 
     #[test]
     fn source_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().source, SourceMode::SpNerf);
-        assert_eq!(parse(&args(&["--source", "spnerf"])).unwrap().source, SourceMode::SpNerf);
-        assert_eq!(parse(&args(&["--source", "baked"])).unwrap().source, SourceMode::Baked);
-        assert_eq!(parse(&args(&["--source=baked"])).unwrap().source, SourceMode::Baked);
-        assert_eq!(parse(&args(&["--source"])), Err(ArgError::MissingValue("--source")));
-        for bad in ["bake", "deferred", "BAKED", ""] {
-            assert_eq!(
-                parse(&args(&["--source", bad])),
-                Err(ArgError::BadValue { flag: "--source", value: bad.to_string() }),
-                "`{bad}` must be rejected"
-            );
+        assert_eq!(parse_all(&[]).unwrap().source, SourceMode::SpNerf);
+        let good = [("spnerf", SourceMode::SpNerf), ("baked", SourceMode::Baked)];
+        check_values("--source", |a| a.source, &good, &["bake", "deferred", "BAKED", ""]);
+        for (token, mode) in good {
+            assert_eq!(mode.name(), token);
         }
-        assert_eq!(SourceMode::SpNerf.name(), "spnerf");
-        assert_eq!(SourceMode::Baked.name(), "baked");
     }
 
     #[test]
     fn sparse_format_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().sparse_format, FormatSelection::Auto);
-        assert_eq!(
-            parse(&args(&["--sparse-format", "auto"])).unwrap().sparse_format,
-            FormatSelection::Auto
-        );
-        for kind in FormatKind::ALL {
-            assert_eq!(
-                parse(&args(&["--sparse-format", kind.name()])).unwrap().sparse_format,
-                FormatSelection::Fixed(kind),
-                "space form for {kind}"
-            );
-            let eq_form = format!("--sparse-format={}", kind.name());
-            assert_eq!(
-                parse(&args(&[&eq_form])).unwrap().sparse_format,
-                FormatSelection::Fixed(kind),
-                "= form for {kind}"
-            );
-        }
-        assert_eq!(
-            parse(&args(&["--sparse-format"])),
-            Err(ArgError::MissingValue("--sparse-format"))
-        );
-        for bad in ["dense", "COO", "rank-select", ""] {
-            assert_eq!(
-                parse(&args(&["--sparse-format", bad])),
-                Err(ArgError::BadValue { flag: "--sparse-format", value: bad.to_string() }),
-                "`{bad}` must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn serve_flag_forms() {
-        let none = parse(&args(&["--quick"])).unwrap();
-        assert_eq!(none.serve_flag(), None);
-
-        let all = parse(&args(&[
-            "--seed",
-            "7",
-            "--duration-ticks=4000",
-            "--cache-bytes",
-            "1500000",
-            "--replay",
-            "trace.txt",
-            "--zipf-s=1.1",
-        ]))
-        .unwrap();
-        assert_eq!(all.seed, Some(7));
-        assert_eq!(all.duration_ticks, Some(4000));
-        assert_eq!(all.cache_bytes, Some(1_500_000));
-        assert_eq!(all.replay.as_deref(), Some("trace.txt"));
-        assert_eq!(all.zipf_s, Some(1.1));
-        assert_eq!(all.serve_flag(), Some("--seed"), "first serve flag wins");
-
-        // Both token forms agree, like every other flag on the surface.
-        assert_eq!(parse(&args(&["--seed=9"])).unwrap().seed, Some(9));
-        assert_eq!(parse(&args(&["--cache-bytes=0"])).unwrap().cache_bytes, Some(0));
-        assert_eq!(parse(&args(&["--replay=a/b.txt"])).unwrap().replay.as_deref(), Some("a/b.txt"));
-        assert_eq!(parse(&args(&["--zipf-s", "0"])).unwrap().zipf_s, Some(0.0));
-        assert_eq!(
-            parse(&args(&["--zipf-s", "0"])).unwrap().serve_flag(),
-            Some("--zipf-s"),
-            "a uniform exponent is still the serve surface"
-        );
-    }
-
-    #[test]
-    fn serve_flags_reject_missing_and_malformed_values() {
-        for flag in ["--seed", "--duration-ticks", "--cache-bytes", "--replay", "--zipf-s"] {
-            assert_eq!(
-                parse(&args(&[flag])),
-                Err(ArgError::MissingValue(flag)),
-                "`{flag}` without a value must be rejected"
-            );
-        }
-        assert_eq!(parse(&args(&["--replay="])), Err(ArgError::MissingValue("--replay")));
-        for (flag, bad) in [
-            ("--seed", "x"),
-            ("--seed", "-1"),
-            ("--duration-ticks", "0"),
-            ("--duration-ticks", "soon"),
-            ("--cache-bytes", "1MB"),
-            ("--zipf-s", "-0.5"),
-            ("--zipf-s", "inf"),
-            ("--zipf-s", "NaN"),
-        ] {
-            assert_eq!(
-                parse(&args(&[flag, bad])),
-                Err(ArgError::BadValue { flag, value: bad.to_string() }),
-                "`{flag} {bad}` must be rejected"
-            );
-        }
+        assert_eq!(parse_all(&[]).unwrap().sparse_format, FormatSelection::Auto);
+        let mut good = vec![("auto", FormatSelection::Auto)];
+        good.extend(FormatKind::ALL.map(|k| (k.name(), FormatSelection::Fixed(k))));
+        let bad = ["dense", "COO", "rank-select", ""];
+        check_values("--sparse-format", |a| a.sparse_format, &good, &bad);
     }
 
     #[test]
     fn trajectory_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().trajectory, None);
-        for kind in TrajectoryKind::ALL {
-            assert_eq!(
-                parse(&args(&["--trajectory", kind.name()])).unwrap().trajectory,
-                Some(kind),
-                "space form for {}",
-                kind.name()
-            );
-            let eq_form = format!("--trajectory={}", kind.name());
-            assert_eq!(
-                parse(&args(&[&eq_form])).unwrap().trajectory,
-                Some(kind),
-                "= form for {}",
-                kind.name()
-            );
-        }
-        assert_eq!(parse(&args(&["--trajectory"])), Err(ArgError::MissingValue("--trajectory")));
-        for bad in ["spiral", "ORBIT", "orbit8", ""] {
-            assert_eq!(
-                parse(&args(&["--trajectory", bad])),
-                Err(ArgError::BadValue { flag: "--trajectory", value: bad.to_string() }),
-                "`{bad}` must be rejected"
-            );
-        }
+        assert_eq!(parse_all(&[]).unwrap().trajectory, None);
+        let good = TrajectoryKind::ALL.map(|k| (k.name(), Some(k)));
+        check_values("--trajectory", |a| a.trajectory, &good, &["spiral", "ORBIT", "orbit8", ""]);
         // Each kind names the matching deterministic camera path.
         for kind in TrajectoryKind::ALL {
-            let spec = kind.spec(3, 8);
-            assert_eq!(spec.cameras().len(), 3, "{} frame count", kind.name());
+            assert_eq!(kind.spec(3, 8).cameras().len(), 3, "{} frame count", kind.name());
         }
     }
 
     #[test]
     fn reuse_mode_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().reuse_mode, None);
-        assert_eq!(
-            parse(&args(&["--reuse-mode", "off"])).unwrap().reuse_mode,
-            Some(ReuseMode::Off)
-        );
-        assert_eq!(
-            parse(&args(&["--reuse-mode", "warp"])).unwrap().reuse_mode,
-            Some(ReuseMode::warp())
-        );
-        assert_eq!(
-            parse(&args(&["--reuse-mode=warp"])).unwrap().reuse_mode,
-            Some(ReuseMode::warp())
-        );
-        assert_eq!(parse(&args(&["--reuse-mode"])), Err(ArgError::MissingValue("--reuse-mode")));
-        for bad in ["on", "WARP", "warp:2", ""] {
-            assert_eq!(
-                parse(&args(&["--reuse-mode", bad])),
-                Err(ArgError::BadValue { flag: "--reuse-mode", value: bad.to_string() }),
-                "`{bad}` must be rejected"
-            );
-        }
-
-        // The fence the non-temporal binaries use, mirroring `serve_flag`.
-        assert_eq!(parse(&args(&["--quick"])).unwrap().temporal_flag(), None);
-        assert_eq!(
-            parse(&args(&["--trajectory", "dolly", "--reuse-mode", "warp"]))
-                .unwrap()
-                .temporal_flag(),
-            Some("--trajectory"),
-            "first temporal flag wins"
-        );
-        assert_eq!(
-            parse(&args(&["--reuse-mode", "off"])).unwrap().temporal_flag(),
-            Some("--reuse-mode"),
-            "an explicit `off` is still the temporal surface"
-        );
+        assert_eq!(parse_all(&[]).unwrap().reuse_mode, None);
+        let good = [("off", Some(ReuseMode::Off)), ("warp", Some(ReuseMode::warp()))];
+        check_values("--reuse-mode", |a| a.reuse_mode, &good, &["on", "WARP", "warp:2", ""]);
     }
 
     #[test]
     fn rejects_unknown_flags_and_positionals() {
-        assert_eq!(parse(&args(&["--quik"])), Err(ArgError::UnknownFlag("--quik".to_string())));
-        assert_eq!(
-            parse(&args(&["lego"])),
-            Err(ArgError::UnexpectedPositional("lego".to_string()))
-        );
-        assert_eq!(parse(&args(&["--threads"])), Err(ArgError::MissingValue("--threads")));
-        assert_eq!(
-            parse(&args(&["--threads", "many"])),
-            Err(ArgError::BadValue { flag: "--threads", value: "many".to_string() })
-        );
-        assert_eq!(
-            parse(&args(&["--threads=x"])),
-            Err(ArgError::BadValue { flag: "--threads", value: "x".to_string() })
-        );
-    }
-
-    /// Runs [`take_threads`] on `toks`, returning the count and the
-    /// tokens it left behind.
-    fn take(toks: &[&str], env: Option<&str>) -> Result<(Option<usize>, Vec<String>), ArgError> {
-        let mut a = args(toks);
-        take_threads(&mut a, env).map(|threads| (threads, a))
-    }
-
-    #[test]
-    fn take_threads_strips_flag_tokens() {
-        // Both token forms, stripped wherever they appear; the last wins.
-        assert_eq!(
-            take(&["lego", "--threads", "4", "48", "--threads=7", "64"], None),
-            Ok((Some(7), args(&["lego", "48", "64"])))
-        );
-        assert_eq!(take(&["--quick"], None), Ok((None, args(&["--quick"]))));
-    }
-
-    #[test]
-    fn threads_flag_parsing() {
-        assert_eq!(take(&["--quick", "--threads", "4"], None), Ok((Some(4), args(&["--quick"]))));
-        assert_eq!(take(&["--threads=2"], None), Ok((Some(2), args(&[]))));
-        // The environment fills in only when no flag is given.
-        assert_eq!(take(&["lego"], Some("3")), Ok((Some(3), args(&["lego"]))));
-        assert_eq!(take(&["--threads=0"], Some("3")), Ok((Some(0), args(&[]))));
-        assert_eq!(take(&["--threads=2"], Some("x")), Ok((Some(2), args(&[]))));
-        // `render_scene lego 16 8 --threads x` and `SPNERF_THREADS=x
-        // render_scene ...` are typed errors (exit 2), never a panic.
-        assert_eq!(
-            take(&["lego", "16", "8", "--threads", "x"], None),
-            Err(ArgError::BadValue { flag: "--threads", value: "x".to_string() })
-        );
-        assert_eq!(
-            take(&["lego", "16", "8"], Some("x")),
-            Err(ArgError::BadValue { flag: THREADS_ENV_VAR, value: "x".to_string() })
-        );
-        assert_eq!(take(&["lego", "--threads"], None), Err(ArgError::MissingValue("--threads")));
-        assert_eq!(
-            take(&["--threads=-1"], None),
-            Err(ArgError::BadValue { flag: "--threads", value: "-1".to_string() })
-        );
+        assert_eq!(parse_all(&["--quik"]), Err(ArgError::UnknownFlag("--quik".to_string())));
+        assert_eq!(parse_all(&["--quick=yes"]), Err(ArgError::UnknownFlag("--quick=yes".into())));
+        assert_eq!(parse_all(&["lego"]), Err(ArgError::UnexpectedPositional("lego".to_string())));
+        assert_eq!(parse_all(&["--threads"]), Err(ArgError::MissingValue("--threads")));
+        for bad in [&["--threads", "many"][..], &["--threads=many"]] {
+            let err = ArgError::BadValue { flag: "--threads", value: "many".to_string() };
+            assert_eq!(parse_all(bad), Err(err));
+        }
     }
 
     #[test]
     fn errors_and_usage_render() {
-        let u = usage("fig6_memory_psnr");
-        assert!(u.contains("--quick") && u.contains("--threads") && u.contains(THREADS_ENV_VAR));
-        assert!(u.contains("--corpus"));
-        assert!(u.contains("--skip-mode") && u.contains("mip:N"));
-        assert!(u.contains("--source") && u.contains("baked"));
-        assert!(u.contains("--sparse-format") && u.contains("rank"));
-        for serve in ["--seed", "--duration-ticks", "--cache-bytes", "--replay", "--zipf-s"] {
-            assert!(u.contains(serve), "usage must document {serve}");
+        let u = spnerf::cli::usage("fig9_temporal", FIG9_TEMPORAL);
+        for documented in ["--quick", "--threads", "SPNERF_THREADS", "--corpus", "mip:N", "baked"] {
+            assert!(u.contains(documented), "usage must document {documented}");
         }
-        assert!(u.contains("--trajectory") && u.contains("dolly"));
-        assert!(u.contains("--reuse-mode") && u.contains("warp"));
-        assert!(ArgError::UnknownFlag("--x".into()).to_string().contains("--x"));
-        assert!(ArgError::MissingValue("--threads").to_string().contains("--threads"));
-        let too_large = ArgError::TooLarge { flag: "--duration-ticks", value: 9, max: 8 };
-        assert_eq!(too_large.to_string(), "--duration-ticks: 9 is above the limit of 8");
+        for documented in ["--sparse-format", "rank", "--trajectory", "dolly", "--reuse-mode"] {
+            assert!(u.contains(documented), "usage must document {documented}");
+        }
+        // Usage lists only what the binary accepts.
+        let t = spnerf::cli::usage("table1_platforms", TABLE1_PLATFORMS);
+        for absent in ["--corpus", "--skip-mode", "--source", "--trajectory", "--seed"] {
+            assert!(!t.contains(absent), "table1 usage must not document {absent}");
+        }
     }
 }

@@ -14,12 +14,13 @@
 //! | `fig9_area_power` | Fig. 9(a) area + Fig. 9(b) power breakdowns |
 //! | `table2_comparison` | Table II (accelerator comparison) |
 //!
-//! Every binary shares the strict [`cli`] surface: `--quick` runs a
+//! Every binary declares the [`cli`] flags it reads and rejects every
+//! other flag with usage text (exit 2). All of them take `--quick`, a
 //! reduced-fidelity preset (small grids, small codebook, small renders)
-//! that exercises the identical code path in seconds, `--threads N` (or the
-//! `SPNERF_THREADS` environment variable; `0` = all cores) renders through
-//! the tile-parallel engine — outputs are bitwise-identical at every thread
-//! count — and anything else is rejected with usage text.
+//! that exercises the identical code path in seconds, and `--threads N`
+//! (or the `SPNERF_THREADS` environment variable; `0` = all cores), which
+//! renders through the tile-parallel engine — outputs are bitwise-identical
+//! at every thread count.
 //!
 //! Scene construction and rendering go through the `spnerf`
 //! [`pipeline`](spnerf::pipeline) layer: a [`Fidelity`] preset maps onto a
@@ -32,11 +33,11 @@
 use spnerf::accel::frame::FrameWorkload;
 use spnerf::pipeline::{PipelineBuilder, RenderRequest, RenderSource, Scene};
 use spnerf::render::camera::PinholeCamera;
+use spnerf::render::corpus::{generate, Corpus, CorpusSpec};
 use spnerf::render::renderer::{RenderConfig, RenderStats, SkipMode};
 use spnerf::render::scene::{default_camera, SceneId};
 use spnerf::voxel::sparse::FormatSelection;
 use spnerf::voxel::vqrf::VqrfConfig;
-use spnerf_testkit::corpus::{generate, Corpus, CorpusSpec};
 
 pub mod cli;
 pub mod snapshot;
@@ -45,8 +46,8 @@ pub use cli::SourceMode;
 pub use spnerf::core::SpNerfConfig;
 
 /// Deterministic MLP seed shared by every harness so all figures use the
-/// same network.
-pub const MLP_SEED: u64 = 42;
+/// same network (the pipeline default).
+pub use spnerf::pipeline::MLP_SEED;
 
 /// Fidelity preset for a harness run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,32 +129,13 @@ impl Fidelity {
         }
     }
 
-    /// Chooses the preset from the process arguments through the strict
-    /// shared parser ([`cli::parse_or_exit`]): `--quick` selects the reduced
-    /// preset, `--threads N` (falling back to `SPNERF_THREADS`) sets the
-    /// render worker count, and unknown arguments abort with usage text.
-    ///
-    /// For binaries that do not sweep scenes `--corpus` is meaningless, so
-    /// this entry point rejects it (exit 2); scene-sweeping binaries parse
-    /// the arguments themselves and pass [`cli::HarnessArgs::corpus`] to
-    /// [`sweep_items`]. The serve-only flags (`--seed`, `--duration-ticks`,
-    /// `--cache-bytes`, `--replay`, `--zipf-s`) are rejected the same way —
-    /// they only mean something to `spnerf_serve`.
-    pub fn from_args() -> Self {
-        let args = cli::parse_or_exit();
-        if args.corpus {
-            eprintln!("--corpus: this binary does not sweep scenes (see fig2/fig6)");
-            std::process::exit(2);
-        }
-        if let Some(flag) = args.serve_flag() {
-            eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-            std::process::exit(2);
-        }
-        if let Some(flag) = args.temporal_flag() {
-            eprintln!("{flag}: this binary does not render trajectories (see fig9_temporal)");
-            std::process::exit(2);
-        }
-        Self::from_cli(&args)
+    /// Chooses the preset from the process arguments of a binary that
+    /// declares `flags` ([`cli::parse_or_exit`]): `--quick` selects the
+    /// reduced preset, `--threads N` (falling back to `SPNERF_THREADS`)
+    /// sets the render worker count, and any flag outside `flags` aborts
+    /// with usage text (exit 2).
+    pub fn from_args(flags: &[spnerf::cli::Flag]) -> Self {
+        Self::from_cli(&cli::parse_or_exit(flags))
     }
 
     /// Builds the preset a parsed argument set selects (the pure core of
@@ -206,16 +188,21 @@ impl Fidelity {
     /// The pipeline this preset configures for `scene` — the single place
     /// harness presets meet the `spnerf` front door.
     pub fn pipeline(&self, id: SceneId) -> PipelineBuilder {
-        let mut b = PipelineBuilder::new(id)
+        self.configure(PipelineBuilder::new(id))
+    }
+
+    /// Applies every knob of this preset to `b` (the grid side is ignored
+    /// by custom-grid pipelines, whose grid has its own dimensions).
+    fn configure(&self, b: PipelineBuilder) -> PipelineBuilder {
+        let b = b
             .vqrf_config(self.vqrf_config())
             .spnerf_config(self.spnerf_config())
-            .mlp_seed(MLP_SEED)
             .render_config(self.render_config())
             .sparse_format(self.sparse_format);
-        if let Some(side) = self.grid_side {
-            b = b.grid_side(side);
+        match self.grid_side {
+            Some(side) => b.grid_side(side),
+            None => b,
         }
-        b
     }
 }
 
@@ -230,7 +217,7 @@ pub fn build_scene(id: SceneId, fid: &Fidelity) -> Scene {
 }
 
 /// One scene of a harness sweep: a Synthetic-NeRF dataset stand-in or a
-/// testkit corpus archetype (`--corpus`).
+/// procedural corpus archetype (`--corpus`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepItem {
     /// One of the eight dataset scenes.
@@ -254,7 +241,7 @@ impl SweepItem {
 pub const CORPUS_PAPER_SIDE: u32 = 64;
 
 /// The scenes a sweep covers: the eight dataset scenes, or — with
-/// `--corpus` — the five testkit archetypes at their designed occupancies.
+/// `--corpus` — the five corpus archetypes at their designed occupancies.
 pub fn sweep_items(fid: &Fidelity, corpus: bool) -> Vec<SweepItem> {
     if corpus {
         let side = fid.grid_side.unwrap_or(CORPUS_PAPER_SIDE);
@@ -273,12 +260,8 @@ pub fn sweep_items(fid: &Fidelity, corpus: bool) -> Vec<SweepItem> {
 pub fn build_sweep_scene(item: &SweepItem, fid: &Fidelity) -> Scene {
     match item {
         SweepItem::Dataset(id) => build_scene(*id, fid),
-        SweepItem::Corpus(spec) => PipelineBuilder::from_grid(spec.label(), generate(spec))
-            .vqrf_config(fid.vqrf_config())
-            .spnerf_config(fid.spnerf_config())
-            .mlp_seed(MLP_SEED)
-            .render_config(fid.render_config())
-            .sparse_format(fid.sparse_format)
+        SweepItem::Corpus(spec) => fid
+            .configure(PipelineBuilder::from_grid(spec.label(), generate(spec)))
             .build()
             .expect("corpus preset configurations are valid"),
     }

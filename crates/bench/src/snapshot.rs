@@ -15,14 +15,15 @@
 //! fingerprint are what CI enforces; the timings are a recorded trajectory,
 //! not a gate.
 //!
-//! No serde exists in this workspace, so this module hand-rolls both the
-//! JSON emitter ([`Snapshot::to_json`], stable key order) and the strict
-//! recursive-descent parser ([`parse_json`]) behind
-//! [`validate_snapshot_json`].
+//! No serde exists in this workspace: [`Snapshot::to_json`] emits with
+//! stable key order through the [`spnerf::json`] value emitters, and
+//! [`validate_snapshot_json`] re-parses with its strict, depth-bounded
+//! [`parse_json`] (re-exported here with [`Json`]).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use spnerf::json::{json_escape, json_f64};
 use spnerf::render::bake::bake;
 use spnerf::render::composite::accumulate_weighted;
 use spnerf::render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
@@ -44,6 +45,8 @@ use spnerf::voxel::grid::DenseGrid;
 use spnerf::voxel::FEATURE_DIM;
 
 use crate::MLP_SEED;
+
+pub use spnerf::json::{parse_json, Json};
 
 /// Version of the `BENCH_*.json` schema this code emits and validates.
 /// Bump it (and `docs/benchmarking.md`) when a field changes meaning; CI
@@ -366,39 +369,6 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON emission
-// ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    // JSON has no NaN/Infinity; a non-finite timing is a harness bug.
-    assert!(x.is_finite(), "non-finite value cannot be serialized to JSON");
-    let s = format!("{x}");
-    // `1e9 / ns` can print integral (e.g. `250`); keep a decimal point so
-    // the field reads as the float it is.
-    if s.contains(['.', 'e', 'E']) {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
 impl Snapshot {
     /// Serializes to the canonical `BENCH_*.json` document (stable key
     /// order, two-space indent, trailing newline).
@@ -439,241 +409,8 @@ impl Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// JSON parsing + validation
+// Validation
 // ---------------------------------------------------------------------------
-
-/// A parsed JSON value — the minimal tree the validator walks. Object keys
-/// keep their document order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (always held as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document key order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object member lookup (`None` on non-objects and missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn lit(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else { return Err(self.err("unterminated string")) };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else { return Err(self.err("bad escape")) };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| self.err("\\u escape is not a scalar"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode from the byte position to keep UTF-8 intact.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err("malformed number"))
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut members = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    members.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(members));
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-}
-
-/// Parses one JSON document, rejecting trailing garbage.
-///
-/// # Errors
-///
-/// Returns a byte-positioned message on any syntax error.
-pub fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
-    Ok(v)
-}
 
 /// Validates one `BENCH_*.json` document against the snapshot schema:
 /// version match, fingerprint shape, the full [`REQUIRED_KERNELS`]
@@ -859,9 +596,30 @@ mod tests {
 
     #[test]
     fn emitted_floats_are_json_safe() {
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert!(json_f64(1e9).contains(['e', '.']));
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        let snap = Snapshot {
+            schema_version: SCHEMA_VERSION,
+            label: "a\"b\\c\n".to_string(),
+            fingerprint: Fingerprint {
+                simd_dispatch: true,
+                lane_width: 8,
+                feature_dim: 12,
+                mlp_dims: [39, 128, 128, 3],
+                grid_side: 32,
+                quick: true,
+            },
+            kernels: vec![KernelResult {
+                name: "k".to_string(),
+                ns_per_op: 2.0,
+                ops_per_s: 5e8,
+                ops_per_iter: 1,
+                iters: 1,
+            }],
+        };
+        let json = snap.to_json();
+        assert!(json.contains("\"label\": \"a\\\"b\\\\c\\n\""), "{json}");
+        assert!(json.contains("\"ns_per_op\": 2.0,"), "integral floats keep a decimal point");
+        assert!(json.contains("\"ops_per_s\": 500000000.0,"), "{json}");
+        let doc = parse_json(&json).expect("escaped document parses");
+        assert_eq!(doc.get("label").and_then(Json::as_str), Some("a\"b\\c\n"));
     }
 }

@@ -1,7 +1,7 @@
 //! The procedural scenario corpus: deterministic voxel grids spanning the
 //! sparsity/structure space.
 //!
-//! The eight Synthetic-NeRF stand-ins in [`spnerf_render::scene`] all share
+//! The eight Synthetic-NeRF stand-ins in [`crate::scene`] all share
 //! one shape family (thin SDF surface shells at 2–6.5 % occupancy). SpNeRF's
 //! sparsity-dependent paths — bitmap pruning, hash-table load, GID/HMU
 //! behaviour, DRAM locality — need workloads *outside* that band too, so
@@ -20,9 +20,11 @@
 //! occupancy target is met **exactly** (rank-based selection, like the
 //! scene builder's quantile thresholding).
 
-use spnerf_render::vec3::Vec3;
 use spnerf_voxel::coord::GridDims;
 use spnerf_voxel::grid::{DenseGrid, FEATURE_DIM};
+
+use crate::scene::unit_hash3;
+use crate::vec3::Vec3;
 
 /// One of the five corpus scene shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,7 +129,7 @@ pub const CORPUS_SEED: u64 = 0xC0FFEE;
 /// # Examples
 ///
 /// ```
-/// use spnerf_testkit::corpus::{generate, Corpus};
+/// use spnerf_render::corpus::{generate, Corpus};
 /// for spec in Corpus::quick() {
 ///     let grid = generate(&spec);
 ///     assert!(grid.occupied_count() > 0, "{}", spec.label());
@@ -188,7 +190,8 @@ pub fn generate(spec: &CorpusSpec) -> DenseGrid {
     for (i, c) in dims.iter().enumerate() {
         let p = voxel_world(c.x, c.y, c.z, spec.side);
         let s = archetype_score(spec.archetype, p, spec.seed);
-        score[i] = s + 1e-4 * (unit_hash3(c.x, c.y, c.z, spec.seed ^ 0x7e17) - 0.5);
+        score[i] =
+            s + 1e-4 * (unit_hash3(c.x.into(), c.y.into(), c.z.into(), spec.seed ^ 0x7e17) - 0.5);
     }
 
     // Rank-based selection: exactly k voxels, descending score, index
@@ -206,7 +209,8 @@ pub fn generate(spec: &CorpusSpec) -> DenseGrid {
     for &i in &order[..k] {
         let c = dims.coord_of(i as usize);
         let p = voxel_world(c.x, c.y, c.z, spec.side);
-        let density = 0.15 + 0.85 * unit_hash3(c.x, c.y, c.z, spec.seed ^ 0xd5);
+        let density =
+            0.15 + 0.85 * unit_hash3(c.x.into(), c.y.into(), c.z.into(), spec.seed ^ 0xd5);
         grid.set_density(c, density);
         grid.set_features(c, &feature_vector(spec, c.x, c.y, c.z, p));
     }
@@ -235,7 +239,7 @@ fn archetype_score(a: Archetype, p: Vec3, seed: u64) -> f32 {
             let mut best = f32::NEG_INFINITY;
             for i in 0..count {
                 let c = seeded_point(seed, i as u64 + 1, 0.6);
-                let r = 0.15 + 0.20 * unit_hash3(i as u32, 77, 13, seed);
+                let r = 0.15 + 0.20 * unit_hash3(i as u64, 77, 13, seed);
                 best = best.max(-(p - c).length() / r);
             }
             best
@@ -257,14 +261,14 @@ fn archetype_score(a: Archetype, p: Vec3, seed: u64) -> f32 {
         // itself is the hash (no spatial coherence at all).
         Archetype::NoiseField => {
             let q = (p + Vec3::ONE) * 512.0;
-            unit_hash3(q.x as u32, q.y as u32, q.z as u32, seed)
+            unit_hash3(q.x as u32 as u64, q.y as u32 as u64, q.z as u32 as u64, seed)
         }
     }
 }
 
 /// A deterministic point in `[-extent, extent]³` derived from the seed.
 fn seeded_point(seed: u64, salt: u64, extent: f32) -> Vec3 {
-    let h = |axis: u32| (unit_hash3(axis, salt as u32, 0x5eed, seed) * 2.0 - 1.0) * extent;
+    let h = |axis: u32| (unit_hash3(axis.into(), salt, 0x5eed, seed) * 2.0 - 1.0) * extent;
     Vec3::new(h(1), h(2), h(3))
 }
 
@@ -278,20 +282,11 @@ fn feature_vector(spec: &CorpusSpec, x: u32, y: u32, z: u32, p: Vec3) -> [f32; F
         let b = 0.9 + j as f32 * 0.4;
         let c = 2.1 - j as f32 * 0.3;
         let smooth = 0.35 * (a * p.x + b * p.y + c * p.z).sin();
-        let detail = 0.9 * (unit_hash3(x, y, z, spec.seed ^ (j as u64 * 0x9e37)) - 0.5);
+        let detail =
+            0.9 * (unit_hash3(x.into(), y.into(), z.into(), spec.seed ^ (j as u64 * 0x9e37)) - 0.5);
         *slot = smooth + detail;
     }
     f
-}
-
-/// SplitMix-style hash of three coordinates and a seed, mapped to `[0, 1)`.
-fn unit_hash3(x: u32, y: u32, z: u32, seed: u64) -> f32 {
-    let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
-    for v in [x as u64, y as u64, z as u64] {
-        h ^= v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = h.rotate_left(27).wrapping_mul(0x94d0_49bb_1331_11eb);
-    }
-    (h >> 40) as f32 / (1u32 << 24) as f32
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 
 use std::io::{self, Write};
 
+use spnerf_voxel::digest::Fnv64;
+
 use crate::vec3::Vec3;
 
 /// A float RGB image (components nominally in `[0, 1]`).
@@ -88,6 +90,20 @@ impl ImageBuffer {
         &self.data
     }
 
+    /// FNV-1a digest of the dimensions plus every pixel's exact bits, so
+    /// equal digests mean bitwise-equal images (format it with [`hex`]).
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u32(self.width);
+        h.write_u32(self.height);
+        for p in &self.data {
+            h.write_f32(p.x);
+            h.write_f32(p.y);
+            h.write_f32(p.z);
+        }
+        h.finish()
+    }
+
     /// Mean squared error against `other` over all channels.
     ///
     /// # Panics
@@ -142,6 +158,12 @@ impl ImageBuffer {
         }
         Ok(())
     }
+}
+
+/// Formats a digest the way reports and golden files store it (`0x` + 16
+/// lowercase hex digits).
+pub fn hex(digest: u64) -> String {
+    format!("{digest:#018x}")
 }
 
 #[cfg(test)]

@@ -14,9 +14,13 @@
 //! * [`mlp`] — the 3-layer color MLP (128/128/3) with the 39-element input
 //!   vector of the paper's Fig. 5,
 //! * [`composite`] — the volume-rendering equation,
-//! * [`image`] — image buffers, PSNR and PPM output,
+//! * [`image`] — image buffers, PSNR, FNV-1a image digests and PPM output,
 //! * [`scene`] — procedural Synthetic-NeRF-like scenes with calibrated
 //!   sparsity,
+//! * [`corpus`] — its sibling generator: five procedural archetypes
+//!   (`dense-blob`, `clusters`, `thin-shell`, `empty-space`,
+//!   `noise-field`) spanning the sparsity/structure space, each grid a
+//!   pure function of its [`corpus::CorpusSpec`],
 //! * [`source`] / [`renderer`] — the [`source::VoxelSource`]-generic
 //!   renderer whose [`renderer::RenderStats`] feed the accelerator
 //!   simulator, with hierarchical empty-space skipping
@@ -71,6 +75,7 @@
 pub mod bake;
 pub mod camera;
 pub mod composite;
+pub mod corpus;
 pub mod engine;
 pub mod eval;
 pub mod fp16;

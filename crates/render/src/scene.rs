@@ -275,15 +275,20 @@ fn hash_noise_vec(p: Vec3, seed: u64) -> [f32; FEATURE_DIM] {
 
 /// Deterministic value noise in `[-0.5, 0.5]` from a position and seed.
 fn hash_noise(p: Vec3, seed: u64) -> f32 {
-    let qx = (p.x * 512.0) as i64 as u64;
-    let qy = (p.y * 512.0) as i64 as u64;
-    let qz = (p.z * 512.0) as i64 as u64;
+    let q = |c: f32| (c * 512.0) as i64 as u64;
+    unit_hash3(q(p.x), q(p.y), q(p.z), seed) - 0.5
+}
+
+/// SplitMix-style hash of three coordinates and a seed, mapped to `[0, 1)`
+/// — the per-voxel detail noise of both procedural generators (this
+/// module's scenes and the [`crate::corpus`] archetypes).
+pub(crate) fn unit_hash3(x: u64, y: u64, z: u64, seed: u64) -> f32 {
     let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
-    for v in [qx, qy, qz] {
+    for v in [x, y, z] {
         h ^= v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h = h.rotate_left(27).wrapping_mul(0x94d0_49bb_1331_11eb);
     }
-    ((h >> 40) as f32 / (1u32 << 24) as f32) - 0.5
+    (h >> 40) as f32 / (1u32 << 24) as f32
 }
 
 // ---------------------------------------------------------------------------

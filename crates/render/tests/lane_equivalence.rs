@@ -12,6 +12,7 @@
 //! precision (rounding weights through binary16 genuinely changes them).
 
 use proptest::prelude::*;
+use spnerf_render::corpus::{generate, Archetype, CorpusSpec};
 use spnerf_render::interp::{
     interpolate_cell, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
 };
@@ -19,7 +20,6 @@ use spnerf_render::mlp::{DeferredMlp, Mlp, MlpF16, MlpScratch, DEFERRED_INPUT_DI
 use spnerf_render::scene::{build_grid, SceneId};
 use spnerf_render::source::VoxelSource;
 use spnerf_render::vec3::Vec3;
-use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
 
 /// Bitwise comparison of two interpolation results with a labelled panic.
 fn assert_samples_bitwise(

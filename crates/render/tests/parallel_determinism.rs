@@ -5,11 +5,11 @@
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;
+use spnerf_render::corpus::{generate, Archetype, CorpusSpec};
 use spnerf_render::mlp::{DeferredMlp, Mlp};
 use spnerf_render::renderer::{render_view, render_view_serial, RenderConfig, Shader, SkipMode};
 use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf_render::source::WithOccupancy;
-use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]

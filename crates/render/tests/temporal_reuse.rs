@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;
+use spnerf_render::corpus::{generate, Archetype, CorpusSpec};
 use spnerf_render::mlp::{DeferredMlp, Mlp};
 use spnerf_render::renderer::{render_view, RenderConfig, Shader};
 use spnerf_render::scene::scene_aabb;
@@ -17,7 +18,6 @@ use spnerf_render::source::VoxelSource;
 use spnerf_render::temporal::{
     render_trajectory_shaded, ReuseMode, TemporalFrame, TrajectorySpec, WarpConfig,
 };
-use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
 use spnerf_testkit::fixtures;
 
 /// The three path kinds at gentle test scales.

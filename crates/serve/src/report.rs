@@ -8,13 +8,14 @@
 //! by platform (Rust's `{}` float formatting is deterministic
 //! shortest-repr).
 //!
-//! Emission follows the same hand-rolled discipline as
-//! `spnerf_bench::snapshot`: stable key order, fixed two-space indent, and
-//! [`validate_report_json`] re-parses with the bench crate's strict JSON
-//! parser so every emitted report is checked against its own schema before
-//! the process exits 0.
+//! Emission uses the facade's [`spnerf::json`] value emitters with stable
+//! key order and a fixed two-space indent, and [`validate_report_json`]
+//! re-parses with its strict, depth-bounded [`parse_json`], so every
+//! emitted report is checked against its own schema before the process
+//! exits 0. The validator never panics: count sums are taken in `u128`, so
+//! no integer a hostile document carries can overflow them.
 
-use spnerf_bench::snapshot::{parse_json, Json};
+use spnerf::json::{json_escape, json_f64, parse_json, Json};
 
 /// Schema version emitted in `schema_version`.
 pub const REPORT_SCHEMA_VERSION: u64 = 1;
@@ -108,33 +109,6 @@ pub struct Report {
     /// FNV-1a digest over every response in completion order (hex,
     /// `0x` + 16 digits) — the bitwise-determinism witness.
     pub responses_digest: String,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    // JSON has no NaN/Infinity; a non-finite statistic is a harness bug.
-    assert!(x.is_finite(), "non-finite value cannot be serialized to JSON");
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
 }
 
 impl Report {
@@ -250,7 +224,7 @@ pub fn validate_report_json(text: &str) -> Result<(), Vec<String>> {
     let served = require_u64(&doc, "served", &mut errors);
     let shed = require_u64(&doc, "shed", &mut errors);
     if let (Some(r), Some(sv), Some(sh)) = (requests, served, shed) {
-        if r != sv + sh {
+        if u128::from(r) != u128::from(sv) + u128::from(sh) {
             errors.push(format!("requests {r} != served {sv} + shed {sh}"));
         }
     }
@@ -305,7 +279,8 @@ pub fn validate_report_json(text: &str) -> Result<(), Vec<String>> {
 
     match doc.get("tenants").and_then(Json::as_array) {
         Some(tenants) if !tenants.is_empty() => {
-            let (mut sum_served, mut sum_shed) = (0u64, 0u64);
+            // u128 sums: no count a document can hold overflows them.
+            let (mut sum_served, mut sum_shed) = (0u128, 0u128);
             for (i, t) in tenants.iter().enumerate() {
                 match require_u64(t, "tenant", &mut errors) {
                     Some(id) if id == i as u64 => {}
@@ -317,15 +292,15 @@ pub fn validate_report_json(text: &str) -> Result<(), Vec<String>> {
                 let shed = require_u64(t, "shed", &mut errors);
                 require_u64(t, "work_ticks", &mut errors);
                 if let (Some(a), Some(sv), Some(sh)) = (arrived, served, shed) {
-                    if a != sv + sh {
+                    if u128::from(a) != u128::from(sv) + u128::from(sh) {
                         errors.push(format!("tenant[{i}]: arrived {a} != served {sv} + shed {sh}"));
                     }
-                    sum_served += sv;
-                    sum_shed += sh;
+                    sum_served += u128::from(sv);
+                    sum_shed += u128::from(sh);
                 }
             }
             if let (Some(sv), Some(sh)) = (served, shed) {
-                if sum_served != sv || sum_shed != sh {
+                if sum_served != u128::from(sv) || sum_shed != u128::from(sh) {
                     errors.push(format!(
                         "tenant totals (served {sum_served}, shed {sum_shed}) do not add up to \
                          globals (served {sv}, shed {sh})"
@@ -458,9 +433,25 @@ mod tests {
 
     #[test]
     fn escaping_handles_hostile_strings() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(0.0025), "0.0025");
+        let mut r = sample();
+        r.trace_source = "a\"b\\c\nd".to_string();
+        r.zipf_s = 2.0;
+        r.throughput_per_kilotick = 0.0025;
+        let json = r.to_json();
+        assert!(json.contains("\"trace_source\": \"a\\\"b\\\\c\\nd\","), "{json}");
+        assert!(json.contains("\"zipf_s\": 2.0,"), "{json}");
+        assert!(json.contains("\"throughput_per_kilotick\": 0.0025,"), "{json}");
+        let doc = parse_json(&json).expect("escaped report parses");
+        assert_eq!(doc.get("trace_source").and_then(Json::as_str), Some("a\"b\\c\nd"));
+    }
+
+    #[test]
+    fn huge_counts_are_errors_not_overflows() {
+        let json = sample().to_json().replace("\"served\": 74", "\"served\": 1e30");
+        let errs = validate_report_json(&json).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("requests")), "{errs:?}");
+        let json =
+            sample().to_json().replace("\"arrived\": 40", "\"arrived\": 18446744073709551615");
+        assert!(validate_report_json(&json).is_err());
     }
 }

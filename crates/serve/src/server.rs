@@ -37,15 +37,17 @@
 
 use std::sync::Arc;
 
-use spnerf::pipeline::{RenderRequest, RenderSource};
+use spnerf::core::SpNerfConfig;
+use spnerf::pipeline::{PipelineBuilder, RenderRequest, RenderSource};
+use spnerf::render::corpus::{generate, Archetype, CorpusSpec, CORPUS_SEED};
 use spnerf::render::eval::{percentile, SummaryStats};
+use spnerf::render::image::hex;
 use spnerf::render::renderer::{RenderConfig, RenderStats};
 use spnerf::render::scene::default_camera;
 use spnerf::trajectory::{PathKind, ReuseMode, TrajectoryRequest, TrajectorySpec};
+use spnerf::voxel::digest::Fnv64;
+use spnerf::voxel::vqrf::VqrfConfig;
 use spnerf::Scene;
-use spnerf_testkit::corpus::{Archetype, CorpusSpec, CORPUS_SEED};
-use spnerf_testkit::digest::{digest_image, hex, Fnv64};
-use spnerf_testkit::fixtures;
 
 use crate::cache::SceneLru;
 use crate::clock::{Ticks, VirtualClock};
@@ -110,7 +112,7 @@ impl ServeConfig {
                 table_size: 2048,
                 image_px: 12,
             },
-            render: fixtures::test_render_config(16),
+            render: RenderConfig { samples_per_ray: 16, ..Default::default() },
         }
     }
 
@@ -126,7 +128,7 @@ impl ServeConfig {
                 table_size: 4096,
                 image_px: 16,
             },
-            render: fixtures::test_render_config(24),
+            render: RenderConfig { samples_per_ray: 24, ..Default::default() },
         }
     }
 }
@@ -170,15 +172,27 @@ impl Catalog {
         self.specs[index].label()
     }
 
-    /// Builds scene `index` from scratch (the cache-miss path).
+    /// Builds scene `index` from scratch (the cache-miss path): 2 k-means
+    /// iterations on a 2048-point subsample, the shared
+    /// [`spnerf::pipeline::MLP_SEED`] network.
     pub fn build(&self, index: usize, samples_per_ray: usize) -> Scene {
-        fixtures::corpus_scene(
-            &self.specs[index],
-            self.cfg.codebook,
-            self.cfg.subgrids,
-            self.cfg.table_size,
-            samples_per_ray,
-        )
+        let spec = &self.specs[index];
+        let cfg = &self.cfg;
+        PipelineBuilder::from_grid(spec.label(), generate(spec))
+            .vqrf_config(VqrfConfig {
+                codebook_size: cfg.codebook,
+                kmeans_iters: 2,
+                kmeans_subsample: 2048,
+                ..Default::default()
+            })
+            .spnerf_config(SpNerfConfig {
+                subgrid_count: cfg.subgrids,
+                table_size: cfg.table_size,
+                codebook_size: cfg.codebook,
+            })
+            .render_config(RenderConfig { samples_per_ray, ..Default::default() })
+            .build()
+            .expect("catalog configurations are valid")
     }
 }
 
@@ -271,7 +285,6 @@ pub fn run(trace: &Trace, cfg: &ServeConfig, meta: &RunMeta) -> ServeOutcome {
     let mut tenants = vec![TenantReport::default(); trace.tenants];
     let mut responses: Vec<ServedResponse> = Vec::new();
     let mut latencies: Vec<f64> = Vec::new();
-    let mut digest = Fnv64::new();
     let mut peak_resident = 0usize;
     let mut next = 0usize;
 
@@ -328,7 +341,7 @@ pub fn run(trace: &Trace, cfg: &ServeConfig, meta: &RunMeta) -> ServeOutcome {
                 .expect("serve render must not fail");
             stats += &resp.stats;
             for (slot, img) in picks.iter().zip(&resp.images) {
-                image_digests[*slot] = digest_image(img);
+                image_digests[*slot] = img.digest();
             }
         }
 
@@ -344,7 +357,7 @@ pub fn run(trace: &Trace, cfg: &ServeConfig, meta: &RunMeta) -> ServeOutcome {
             stats += &resp.stats;
             let mut fold = Fnv64::new();
             for frame in &resp.frames {
-                fold.write_u64(digest_image(&frame.image));
+                fold.write_u64(frame.image.digest());
             }
             image_digests[i] = fold.finish();
         }
@@ -361,7 +374,7 @@ pub fn run(trace: &Trace, cfg: &ServeConfig, meta: &RunMeta) -> ServeOutcome {
             tenants[r.tenant].work_ticks += work;
             let latency = complete - r.tick;
             latencies.push(latency as f64);
-            let served = ServedResponse {
+            responses.push(ServedResponse {
                 seq: r.seq,
                 tenant: r.tenant,
                 scene: r.scene,
@@ -370,12 +383,7 @@ pub fn run(trace: &Trace, cfg: &ServeConfig, meta: &RunMeta) -> ServeOutcome {
                 complete,
                 latency,
                 image_digest: image_digests[i],
-            };
-            digest.write_u64(served.seq);
-            digest.write_u64(served.complete);
-            digest.write_u64(served.latency);
-            digest.write_u64(served.image_digest);
-            responses.push(served);
+            });
         }
         clock.advance_to(complete);
         // Rendering the baked path may have grown the scene's resident
@@ -422,13 +430,13 @@ pub fn run(trace: &Trace, cfg: &ServeConfig, meta: &RunMeta) -> ServeOutcome {
             final_resident_bytes: cache.resident_bytes() as u64,
         },
         tenants,
-        responses_digest: hex(digest.finish()),
+        responses_digest: responses_digest(&responses),
     };
     ServeOutcome { report, responses }
 }
 
-/// Rolling digest over served responses — the same fold [`run`] uses, so
-/// tests can digest a response list independently.
+/// Rolling FNV-1a digest over served responses in completion order — the
+/// report's `responses_digest`.
 pub fn responses_digest(responses: &[ServedResponse]) -> String {
     let mut h = Fnv64::new();
     for r in responses {
@@ -535,8 +543,8 @@ mod tests {
         let traj = session.render_trajectory(&request).expect("trajectory renders");
         assert_eq!(traj.frames.len(), 4);
         assert_eq!(
-            digest_image(&traj.frames[0].image),
-            digest_image(&still.images[0]),
+            traj.frames[0].image.digest(),
+            still.images[0].digest(),
             "the orbit must start exactly at the request's still view"
         );
         assert!(

@@ -219,3 +219,22 @@ fn oversized_duration_exits_2_before_synthesis() {
     assert!(stdout.is_empty(), "no report may be printed");
     assert!(stderr.contains("--duration-ticks"), "the error must name the flag: {stderr}");
 }
+
+#[test]
+fn figure_flags_exit_2_before_serving() {
+    // `--sparse-format` used to be accepted and ignored (a byte-identical
+    // report); none of these flags means anything to the service.
+    for args in [
+        &["--sparse-format", "coo"][..],
+        &["--corpus"],
+        &["--source", "baked"],
+        &["--trajectory", "orbit"],
+        &["--reuse-mode=warp"],
+    ] {
+        let (code, stdout, stderr) = serve("figure_flag", None, args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2: {stderr}");
+        assert!(stdout.is_empty(), "no report may be printed");
+        let flag = args[0].split('=').next().unwrap();
+        assert!(stderr.contains(&format!("unrecognized flag `{}", flag)), "{stderr}");
+    }
+}

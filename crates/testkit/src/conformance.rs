@@ -101,7 +101,6 @@ pub fn scene_for(spec: &CorpusSpec, cfg: &ConformanceConfig) -> Scene {
             cfg.table_size,
             cfg.codebook,
         ))
-        .mlp_seed(fixtures::MLP_SEED)
         .render_config(cfg.render_config())
         .build()
         .expect("conformance preset builds")

@@ -1,5 +1,10 @@
 //! Stable FNV-1a digests of every artifact the conformance suite snapshots.
 //!
+//! The hasher is [`Fnv64`], re-exported from `spnerf_voxel::digest`;
+//! [`digest_image`] and [`hex`] are the render crate's
+//! [`ImageBuffer::digest`] and `spnerf_render::image::hex`. They stay
+//! reachable here so golden tests keep one import path.
+//!
 //! Golden files store one 64-bit digest per artifact instead of the raw
 //! bytes: small enough to check in, exact enough that a single flipped
 //! mantissa bit anywhere in an image, grid, or workload changes the value.
@@ -13,103 +18,13 @@ use spnerf_voxel::bitmap::Bitmap;
 use spnerf_voxel::grid::DenseGrid;
 use spnerf_voxel::kmeans::Codebook;
 
-/// An incremental 64-bit FNV-1a hasher over little-endian byte streams.
-///
-/// # Examples
-///
-/// ```
-/// use spnerf_testkit::digest::Fnv64;
-/// let mut h = Fnv64::new();
-/// h.write_u64(42);
-/// let a = h.finish();
-/// assert_ne!(a, Fnv64::new().finish());
-/// ```
-#[derive(Debug, Clone)]
-pub struct Fnv64 {
-    state: u64,
-}
+pub use spnerf_render::image::hex;
+pub use spnerf_voxel::digest::Fnv64;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Fnv64 {
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Self { state: FNV_OFFSET }
-    }
-
-    /// Folds raw bytes into the state.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.state ^= *b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    /// Folds a `u32` (little-endian).
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds a `usize` widened to `u64`, so 32- and 64-bit hosts agree.
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Folds an `f32` by bit pattern.
-    pub fn write_f32(&mut self, v: f32) {
-        self.write_u32(v.to_bits());
-    }
-
-    /// Folds an `f64` by bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Folds a string's UTF-8 bytes, length-prefixed.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write(s.as_bytes());
-    }
-
-    /// The digest.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Formats a digest the way golden files store it (`0x` + 16 hex digits).
-pub fn hex(digest: u64) -> String {
-    format!("{digest:#018x}")
-}
-
-/// Digest of a rendered image: dimensions plus every pixel's exact bits.
+/// Digest of a rendered image: dimensions plus every pixel's exact bits
+/// ([`ImageBuffer::digest`]).
 pub fn digest_image(img: &ImageBuffer) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u32(img.width());
-    h.write_u32(img.height());
-    for p in img.pixels() {
-        h.write_f32(p.x);
-        h.write_f32(p.y);
-        h.write_f32(p.z);
-    }
-    h.finish()
+    img.digest()
 }
 
 /// Digest of a dense grid: dimensions, densities, features.
@@ -200,15 +115,6 @@ mod tests {
     use super::*;
     use spnerf_render::vec3::Vec3;
     use spnerf_voxel::coord::{GridCoord, GridDims};
-
-    #[test]
-    fn known_fnv_vector() {
-        // FNV-1a("a") = 0xaf63dc4c8601ec8c.
-        let mut h = Fnv64::new();
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(Fnv64::new().finish(), FNV_OFFSET);
-    }
 
     #[test]
     fn hex_format_is_stable() {

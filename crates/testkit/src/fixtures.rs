@@ -16,8 +16,7 @@ use spnerf_voxel::vqrf::{VqrfConfig, VqrfModel};
 
 use crate::corpus::{generate, CorpusSpec};
 
-/// The MLP seed every test fixture (and every figure harness) shares.
-pub const MLP_SEED: u64 = 42;
+pub use spnerf::pipeline::MLP_SEED;
 
 /// The test-fidelity VQRF configuration: `codebook` entries, 2 Lloyd
 /// iterations, 2048-point training subsample.
@@ -105,7 +104,6 @@ pub fn dataset_scene(
         .grid_side(side)
         .vqrf_config(test_vqrf_config(codebook))
         .spnerf_config(test_spnerf_config(subgrids, table_size, codebook))
-        .mlp_seed(MLP_SEED)
         .render_config(test_render_config(samples))
         .build()
         .expect("test pipeline builds")
@@ -126,7 +124,6 @@ pub fn corpus_scene(
     PipelineBuilder::from_grid(spec.label(), generate(spec))
         .vqrf_config(test_vqrf_config(codebook))
         .spnerf_config(test_spnerf_config(subgrids, table_size, codebook))
-        .mlp_seed(MLP_SEED)
         .render_config(test_render_config(samples))
         .build()
         .expect("corpus pipeline builds")

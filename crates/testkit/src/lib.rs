@@ -1,16 +1,23 @@
 //! # spnerf-testkit
 //!
-//! The workload corpus and cross-layer golden conformance harness of the
-//! SpNeRF reproduction. SpNeRF's value proposition is *sparsity-aware*
-//! memory reduction, so the stack must be validated across the
-//! sparsity/structure space — not just at the eight Synthetic-NeRF
-//! stand-ins' single operating band. This crate provides:
+//! The cross-layer golden conformance harness of the SpNeRF reproduction.
+//! SpNeRF's value proposition is *sparsity-aware* memory reduction, so the
+//! stack must be validated across the sparsity/structure space — not just
+//! at the eight Synthetic-NeRF stand-ins' single operating band.
 //!
-//! * [`corpus`] — a deterministic procedural scenario generator with five
-//!   archetypes spanning that space (`dense-blob`, `clusters`,
-//!   `thin-shell`, `empty-space`, `noise-field`), parameterized by
-//!   seed/resolution/occupancy and exposed as the [`corpus::Corpus`]
-//!   iterator;
+//! The testkit is a leaf: no production crate depends on it (only tests
+//! and the criterion benches do). What production code shares with it
+//! lives in production crates and is re-exported here, so test paths stay
+//! stable:
+//!
+//! * [`corpus`] — the procedural scenario generator (five archetypes
+//!   spanning that space: `dense-blob`, `clusters`, `thin-shell`,
+//!   `empty-space`, `noise-field`), which is `spnerf_render::corpus`;
+//! * the FNV-1a hasher [`digest::Fnv64`] (`spnerf_voxel::digest`) and the
+//!   MLP seed [`fixtures::MLP_SEED`] (`spnerf::pipeline`).
+//!
+//! This crate itself provides:
+//!
 //! * [`digest`] — stable 64-bit FNV-1a digests of images, grids, bitmaps,
 //!   codebooks, render stats and frame workloads (floats hashed by bit
 //!   pattern, so a digest match is bitwise equality);
@@ -66,10 +73,11 @@
 #![warn(missing_docs)]
 
 pub mod conformance;
-pub mod corpus;
 pub mod digest;
 pub mod fixtures;
 pub mod golden;
+
+pub use spnerf_render::corpus;
 
 pub use conformance::{run, ConformanceConfig};
 pub use corpus::{generate, Archetype, Corpus, CorpusSpec};

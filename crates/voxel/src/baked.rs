@@ -23,6 +23,7 @@
 //! identical digest).
 
 use crate::coord::{GridCoord, GridDims};
+use crate::digest::Fnv64;
 use crate::grid::{DenseGrid, FEATURE_DIM};
 
 /// Number of channels in the diffuse RGB part of the baked payload.
@@ -136,30 +137,19 @@ impl BakedGrid {
     /// bits, packed channel bits). Equal grids — e.g. two runs of the same
     /// bake pass — produce equal digests, bit for bit.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         let dims = self.grid.dims();
-        for v in [dims.nx as u64, dims.ny as u64, dims.nz as u64] {
-            h = fnv_u64(h, v);
+        for v in [dims.nx, dims.ny, dims.nz] {
+            h.write_u64(v as u64);
         }
         for d in self.grid.density_raw() {
-            h = fnv_u64(h, d.to_bits() as u64);
+            h.write_u64(d.to_bits() as u64);
         }
         for f in self.grid.features_raw() {
-            h = fnv_u64(h, f.to_bits() as u64);
+            h.write_u64(f.to_bits() as u64);
         }
-        h
+        h.finish()
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -23,7 +23,9 @@
 //! * [`kmeans`] — the vector-quantization codebook trainer,
 //! * [`vqrf`] — the VQRF compressed model incl. the full-grid `restore()`
 //!   step that SpNeRF eliminates,
-//! * [`memory`] — itemized memory accounting shared by all representations.
+//! * [`memory`] — itemized memory accounting shared by all representations,
+//! * [`digest`] — the one FNV-1a hasher ([`digest::Fnv64`]) behind every
+//!   stable digest in the workspace.
 //!
 //! # Examples
 //!
@@ -51,6 +53,7 @@
 pub mod baked;
 pub mod bitmap;
 pub mod coord;
+pub mod digest;
 pub mod formats;
 pub mod grid;
 pub mod kmeans;

@@ -31,7 +31,6 @@ fn main() -> Result<(), spnerf::Error> {
             table_size: 16 * 1024,
             codebook_size: 512,
         })
-        .mlp_seed(42)
         .render_config(RenderConfig { samples_per_ray: 128, ..Default::default() })
         .build()?;
 

@@ -28,7 +28,6 @@ fn main() -> Result<(), spnerf::Error> {
         .grid_side(side)
         .vqrf_config(VqrfConfig { codebook_size: 256, kmeans_iters: 3, ..Default::default() })
         .spnerf_config(SpNerfConfig { subgrid_count: 1, table_size: 4096, codebook_size: 256 })
-        .mlp_seed(42)
         .render_config(RenderConfig { samples_per_ray: 80, ..Default::default() })
         .build()?;
 

@@ -23,7 +23,6 @@ fn main() -> Result<(), spnerf::Error> {
         .grid_side(64)
         .vqrf_config(VqrfConfig { codebook_size: 256, kmeans_iters: 3, ..Default::default() })
         .spnerf_config(SpNerfConfig { subgrid_count: 16, table_size: 8192, codebook_size: 256 })
-        .mlp_seed(42)
         .build()?;
 
     let grid = scene.grid();

@@ -16,13 +16,13 @@
 use std::fs::File;
 use std::io::BufWriter;
 
+use spnerf::cli::{take_threads, THREADS_ENV_VAR};
 use spnerf::core::SpNerfConfig;
 use spnerf::pipeline::{scene_by_name, PipelineBuilder, RenderRequest, RenderSource};
 use spnerf::render::image::ImageBuffer;
 use spnerf::render::renderer::RenderConfig;
 use spnerf::render::scene::{default_camera, SceneId};
 use spnerf::voxel::vqrf::VqrfConfig;
-use spnerf_bench::cli::{take_threads, THREADS_ENV_VAR};
 
 fn main() -> Result<(), spnerf::Error> {
     let mut args: Vec<String> = std::env::args().collect();
@@ -49,7 +49,6 @@ fn main() -> Result<(), spnerf::Error> {
             table_size: 16 * 1024,
             codebook_size: 512,
         })
-        .mlp_seed(42)
         .render_config(RenderConfig {
             samples_per_ray: 128,
             parallelism: threads,

@@ -39,6 +39,15 @@
 //!   per scene bundle, and a streaming driver overlaps each frame's render
 //!   with the previous frame's cycle simulation.
 //!
+//! It also owns the two pieces every binary shares, so the figure harness
+//! (`spnerf-bench`) and the render service (`spnerf-serve`) link no test or
+//! bench crate for them:
+//!
+//! * [`cli`] — the one command-line grammar: each binary declares the
+//!   [`cli::Flag`]s it reads and every other flag exits 2;
+//! * [`json`] — the one JSON emitter pair and the depth-bounded parser
+//!   behind the `BENCH_*.json` and serve-report validators.
+//!
 //! # Examples
 //!
 //! The whole flow, scene to stats, through the pipeline layer:
@@ -73,7 +82,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod error;
+pub mod json;
 pub mod pipeline;
 pub mod trajectory;
 

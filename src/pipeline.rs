@@ -75,6 +75,7 @@ use spnerf_render::renderer::{render_view, RenderConfig, RenderStats, Shader, Sk
 use spnerf_render::scene::{build_grid, scene_aabb, SceneId};
 use spnerf_render::source::{support_bitmap, VoxelSource, WithOccupancy};
 use spnerf_voxel::baked::BakedGrid;
+use spnerf_voxel::digest::Fnv64;
 use spnerf_voxel::grid::DenseGrid;
 use spnerf_voxel::mip::OccupancyMip;
 use spnerf_voxel::sparse::{FormatKind, FormatSelection, SparseFormat, SparseIndex};
@@ -82,6 +83,12 @@ use spnerf_voxel::vqrf::{VqrfConfig, VqrfModel};
 
 use crate::trajectory::TemporalCache;
 use crate::Error;
+
+/// The seed of the random color and view MLPs every pipeline uses unless
+/// [`PipelineBuilder::mlp_seed`] overrides it — shared by the figure
+/// harnesses, the serve catalog and the test fixtures, so all of them
+/// render through the same network.
+pub const MLP_SEED: u64 = 42;
 
 /// Looks a scene up by its dataset name (`"lego"`, `"ship"`, …).
 ///
@@ -218,7 +225,7 @@ enum GridSource {
     /// One of the eight procedural Synthetic-NeRF stand-ins, synthesized at
     /// build time.
     Dataset(SceneId),
-    /// A caller-provided grid under a free-form label (the testkit corpus,
+    /// A caller-provided grid under a free-form label (the procedural corpus,
     /// imported checkpoints, …).
     Custom { label: String, grid: Arc<DenseGrid> },
 }
@@ -241,14 +248,14 @@ pub struct PipelineBuilder {
 impl PipelineBuilder {
     /// Starts a pipeline for `scene` at the paper's defaults: the scene's
     /// paper-scale grid side, a 4096-entry codebook, the K = 64 / T = 32 k
-    /// operating point, MLP seed 42, and the default [`RenderConfig`].
+    /// operating point, [`MLP_SEED`], and the default [`RenderConfig`].
     pub fn new(scene: SceneId) -> Self {
         Self::with_source(GridSource::Dataset(scene))
     }
 
     /// Starts a pipeline over a caller-provided voxel grid instead of a
     /// dataset scene — the entry point for arbitrary workloads (e.g. the
-    /// `spnerf-testkit` corpus archetypes). The label takes the scene
+    /// [`spnerf_render::corpus`] archetypes). The label takes the scene
     /// name's place in [`FrameWorkload`]s and reports.
     ///
     /// [`PipelineBuilder::grid_side`] does not apply to custom grids: the
@@ -264,7 +271,7 @@ impl PipelineBuilder {
             vqrf: VqrfConfig::default(),
             spnerf: SpNerfConfig::default(),
             preprocess: PreprocessOptions::default(),
-            mlp_seed: 42,
+            mlp_seed: MLP_SEED,
             render: RenderConfig::default(),
             eager_bake: false,
             sparse_format: FormatSelection::Auto,
@@ -740,22 +747,16 @@ pub struct RenderSession<'a> {
 /// double-checks full equality on hit, so a collision can never alias two
 /// cameras.
 fn camera_key(cam: &PinholeCamera) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u32| {
-        for b in bits.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(cam.width);
-    eat(cam.height);
-    eat(cam.focal.to_bits());
+    let mut h = Fnv64::new();
+    h.write_u32(cam.width);
+    h.write_u32(cam.height);
+    h.write_f32(cam.focal);
     for v in [cam.pose.right, cam.pose.up, cam.pose.forward, cam.pose.position] {
-        eat(v.x.to_bits());
-        eat(v.y.to_bits());
-        eat(v.z.to_bits());
+        h.write_f32(v.x);
+        h.write_f32(v.y);
+        h.write_f32(v.z);
     }
-    h
+    h.finish()
 }
 
 impl RenderSession<'_> {
